@@ -90,7 +90,7 @@ def test_bench_parallel_speedup(emit):
     dataset = _speedup_plant()
     rows = {}
     docs = {}
-    for executor in ("serial", "thread", "process"):
+    for executor in ("serial", "process"):
         wall, doc, engine = _run(dataset, executor, None)
         rows[executor] = (wall, engine)
         docs[executor] = doc
@@ -98,20 +98,17 @@ def test_bench_parallel_speedup(emit):
     # one speedup definition everywhere: stamp the serial leg's measured
     # in-worker task time onto the parallel legs, so `engine.speedup` in
     # this table and in the run manifest divide the same baseline
-    serial_baseline = rows["serial"][1].compute_seconds
-    for executor in ("thread", "process"):
-        rows[executor][1].serial_baseline_seconds = serial_baseline
+    rows["process"][1].serial_baseline_seconds = rows["serial"][1].compute_seconds
 
-    identical = docs["serial"] == docs["thread"] == docs["process"]
+    identical = docs["serial"] == docs["process"]
     emit("parallel_speedup", _format(rows, cores, identical))
 
     # the determinism contract holds on every machine, parallel or not
     assert identical, "executors disagreed on the serialized reports"
 
     # wall-clock speedup is only provable with real parallel hardware;
-    # the gate is on the *process* executor specifically — with batched
-    # kernels and the shared-memory transport it must beat serial on its
-    # own, not ride on the thread pool's result
+    # the gate is on the process executor — with batched kernels and the
+    # shared-memory transport it must beat serial
     if cores >= 2:
         threshold = float(os.environ.get("REPRO_BENCH_SPEEDUP_MIN", "1.5"))
         serial_wall = rows["serial"][0]

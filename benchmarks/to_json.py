@@ -124,9 +124,7 @@ def parse_speedup_table(text: str) -> dict:
                 "encode_s": float(fields.get("encode_s", 0.0)),
                 "decode_s": float(fields.get("decode_s", 0.0)),
             }
-        elif len(parts) == len(_SPEEDUP_COLUMNS) and parts[0] in (
-            "serial", "thread", "process"
-        ):
+        elif len(parts) == len(_SPEEDUP_COLUMNS) and parts[0] in ("serial", "process"):
             rows.append(
                 {
                     "executor": parts[0],

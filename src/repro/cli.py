@@ -11,7 +11,7 @@ fig3       run the Fig.-3 corpus queries
 trace      pretty-print a span trace written by ``detect --trace-out``
 perf       performance tooling: slow-task report + perf-regression diff
 lint       run the repro-lint static contract checkers (tools.lint)
-sanitize   runtime determinism & concurrency sanitizer (repro.sanitize)
+sanitize   runtime determinism sanitizer (repro.sanitize)
 """
 
 from __future__ import annotations
@@ -81,15 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="emit structured JSON logs at this level "
                           "(DEBUG/INFO/WARNING/...) to stderr")
     det.add_argument("--executor", default="serial",
-                     choices=("serial", "thread", "process"),
+                     choices=("serial", "process"),
                      help="level-DAG execution engine backend; reports are "
-                          "byte-identical across all three")
+                          "byte-identical across both")
     det.add_argument("--max-workers", type=int, default=None, metavar="N",
-                     help="worker-pool cap for --executor thread/process "
+                     help="worker-pool cap for --executor process "
                           "(default: available cpu cores)")
-    det.add_argument("--batch-scoring", action="store_true",
-                     help="stack same-length sensor traces and score them "
-                          "with one batched detector call per group")
     det.add_argument("--ingest-tail", type=int, default=0, metavar="N",
                      help="hold out each machine's last N jobs, score the "
                           "base plant cold, then ingest the held-out jobs "
@@ -207,17 +204,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     san = sub.add_parser(
         "sanitize",
-        help="runtime determinism & concurrency sanitizer: RNG traps, "
-        "worker shared-write tracking, hash-seed replay, executor matrix "
-        "(see docs/STATIC_ANALYSIS.md)",
+        help="runtime determinism sanitizer: RNG traps, hash-seed replay, "
+        "executor matrix (see docs/STATIC_ANALYSIS.md)",
     )
     san.add_argument("--plant", help=".npz archive from `repro simulate`")
     san.add_argument("--seed", type=int, default=7,
                      help="simulate fresh with this seed when --plant is absent")
-    san.add_argument("--executor", default="thread",
-                     choices=("serial", "thread", "process"),
-                     help="executor for the traced run (default: thread — "
-                          "the shared-write tracker sees thread workers)")
+    san.add_argument("--executor", default="serial",
+                     choices=("serial", "process"),
+                     help="executor for the traced run (default: serial — "
+                          "the RNG traps see only in-process scoring)")
     san.add_argument("--max-workers", type=int, default=None)
     san.add_argument("--chaos-dropout", type=float, default=0.0, metavar="RATE",
                      help="inject sensor-dropout chaos before every check")
@@ -227,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     san.add_argument("--skip-replay", action="store_true",
                      help="skip the dual-PYTHONHASHSEED subprocess replay")
     san.add_argument("--skip-matrix", action="store_true",
-                     help="skip the serial/thread/process executor matrix")
+                     help="skip the serial/process executor matrix")
     san.add_argument("--metrics-out", metavar="PATH",
                      help="write Prometheus text-format metrics to this file")
     san.add_argument("--baseline", default=None, metavar="PATH",
@@ -303,7 +299,6 @@ def _cmd_detect(args) -> int:
     config = PipelineConfig(
         executor=args.executor,
         max_workers=args.max_workers,
-        batch_scoring=args.batch_scoring,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
         checkpoint_retain=args.checkpoint_retain,
@@ -796,7 +791,6 @@ def _sanitize_dataset(args) -> "object":
 
 
 def _cmd_sanitize(args) -> int:
-    import os
     from pathlib import Path
 
     from . import sanitize as san
@@ -821,30 +815,18 @@ def _cmd_sanitize(args) -> int:
     findings = []
     checks = {}
 
-    # 1. traced run: unseeded-RNG trap + worker shared-write tracker
-    #    around one full detection under the requested executor
-    pipeline = HierarchicalDetectionPipeline(
-        _sanitize_dataset(args),
-        config=PipelineConfig(
-            executor=args.executor, max_workers=args.max_workers
-        ),
-    )
-    previous = os.environ.get("REPRO_SANITIZE")
-    os.environ["REPRO_SANITIZE"] = "1"
-    tracker = san.SharedWriteTracker()
-    try:
-        with san.RngTrap() as trap:
-            tracker.start()
-            try:
-                pipeline.run()
-            finally:
-                tracker.stop()
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_SANITIZE", None)
-        else:
-            os.environ["REPRO_SANITIZE"] = previous
-    traced = list(trap.findings) + list(tracker.findings)
+    # 1. traced run: unseeded-RNG trap around one full detection (level
+    #    scoring included) under the requested executor
+    dataset = _sanitize_dataset(args)
+    with san.RngTrap() as trap:
+        pipeline = HierarchicalDetectionPipeline(
+            dataset,
+            config=PipelineConfig(
+                executor=args.executor, max_workers=args.max_workers
+            ),
+        )
+        pipeline.run()
+    traced = list(trap.findings)
     findings += traced
     checks["traced-run"] = "fail" if traced else "pass"
 

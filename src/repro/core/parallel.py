@@ -13,13 +13,12 @@ Design constraints, in order:
 * **determinism first** — results are merged *by task key in graph
   insertion order*, never in completion order; per-task RNG seeds are a
   pure function of the task key (:func:`derive_task_seed`); the serial
-  executor and both parallel executors therefore produce bit-identical
-  pipeline results;
+  and process executors therefore produce bit-identical pipeline
+  results;
 * **one construction site** — this module is the only place in
-  ``src/repro`` allowed to construct ``ThreadPoolExecutor`` /
-  ``ProcessPoolExecutor`` (enforced statically by repro-lint rule
-  DET005), so executor policy, worker sizing, and shutdown discipline
-  live in exactly one file;
+  ``src/repro`` allowed to construct a ``ProcessPoolExecutor``
+  (enforced statically by repro-lint rule DET005), so executor policy,
+  worker sizing, and shutdown discipline live in exactly one file;
 * **measurable** — :class:`EngineStats` records per-task wall latency,
   the maximum number of simultaneously ready tasks (queue depth), and
   the compute/wall speedup estimate the pipeline folds into metrics.
@@ -51,7 +50,7 @@ __all__ = [
 ]
 
 #: The configurable executor kinds (``PipelineConfig.executor``).
-EXECUTORS: Tuple[str, ...] = ("serial", "thread", "process")
+EXECUTORS: Tuple[str, ...] = ("serial", "process")
 
 
 def derive_task_seed(root_seed: int, key: str) -> int:
@@ -298,9 +297,9 @@ class EngineStats:
         }
 
 
-#: In-worker CPU clock: per-thread where the platform has one, so thread
-#: pools attribute CPU to the right task; process workers are effectively
-#: single-threaded so the process-wide fallback is equivalent there.
+#: In-worker CPU clock: per-thread where the platform has one; process
+#: workers are effectively single-threaded, so the process-wide fallback
+#: is equivalent there.
 _cpu_clock: Callable[[], float] = getattr(time, "thread_time", time.process_time)
 
 
@@ -372,13 +371,6 @@ class ParallelEngine:
     def run(
         self, graph: TaskGraph, worker: Callable[[object], object]
     ) -> Tuple[Dict[str, object], EngineStats]:
-        if os.environ.get("REPRO_SANITIZE"):
-            # tag each task's key into the sanitizer's context so shared-write
-            # findings attribute to the task that made them; the wrapper is
-            # a module-level partial and stays picklable for process pools
-            from .. import sanitize
-
-            worker = sanitize.wrap_worker(worker)
         stats = EngineStats(
             executor=self.executor, workers=self.workers, n_tasks=len(graph)
         )
@@ -421,15 +413,9 @@ class ParallelEngine:
                 deps.discard(task.key)
         return results
 
-    # -- thread / process ----------------------------------------------
+    # -- process ------------------------------------------------------
     def _make_pool(self):  # type: ignore[no-untyped-def]  # Executor
         # The ONLY pool construction site in src/repro (repro-lint DET005).
-        if self.executor == "thread":
-            from concurrent.futures import ThreadPoolExecutor
-
-            return ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-task"
-            )
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 

@@ -23,16 +23,14 @@ import functools
 import math
 import os
 import pickle
-import threading
 import time
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, cast
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, cast
 
 import numpy as np
 
-from ..detectors import make_detector
+from ..detectors import BaseDetector, make_detector
 from ..obs import Telemetry
 from ..obs.metrics import BYTE_BUCKETS, UNIT_BUCKETS
 from ..obs.trace import Tracer
@@ -96,9 +94,8 @@ class PipelineConfig:
     gate_enabled: bool = True  # data-quality gate + trace repair/quarantine
     quality: QualityPolicy = QualityPolicy()  # gate thresholds
     sandbox: SandboxPolicy = SandboxPolicy()  # detector budget/retry policy
-    executor: str = "serial"  # scoring DAG executor: serial | thread | process
+    executor: str = "serial"  # scoring DAG executor: serial | process
     max_workers: Optional[int] = None  # pool size; None = auto from CPU affinity
-    batch_scoring: bool = False  # batch same-length traces through one detector fit
     shm_transport: bool = True  # process executor: trace arrays via shared memory
     checkpoint_dir: Optional[str] = None  # snapshot store directory; None = off
     checkpoint_every: int = 1  # snapshot after every Nth refresh()
@@ -246,9 +243,10 @@ def _modal_expected_length(
 # *event list* and its spans on a worker-local tracer, and the context
 # replays both at merge time in graph insertion order — so the health
 # record, the metrics, and the exported reports are bit-identical across
-# the serial, thread, and process executors.
+# the serial and process executors.
 
 _EventList = List[Tuple[str, object]]
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -305,8 +303,6 @@ class _WorkerState:
 
 def _worker_label(executor: str) -> str:
     """Human-readable worker attribution for task root spans."""
-    if executor == "thread":
-        return threading.current_thread().name
     if executor == "process":
         return f"pid-{os.getpid()}"
     return "main"
@@ -372,26 +368,32 @@ def _observe_outcome(
         )
 
 
-def _score_series_resilient(
-    state: _WorkerState, unit: str, series: TimeSeries
-) -> Tuple[np.ndarray, str]:
-    """Score one series through the level's fallback chain.
+def _score_resilient(
+    state: _WorkerState,
+    units: Sequence[str],
+    call: Callable[[BaseDetector], _T],
+    terminal: Callable[[], _T],
+) -> Tuple[_T, str]:
+    """Score one group of units through the level's fallback chain.
 
-    Each ``ChooseAlgorithm`` candidate runs inside the sandbox (budget +
-    bounded retry); on failure the next chain entry takes over and a
-    :class:`FallbackEvent` is queued for the merge step.  If the whole
-    chain fails, the robust z/MAD baseline scores the trace — a level is
-    degraded, never silent.
+    ``call`` scores the whole group with one detector instance (a batched
+    series call, or one vector-level ``fit_score``).  Each
+    ``ChooseAlgorithm`` candidate runs inside the sandbox (budget +
+    bounded retry); on failure the next chain entry takes over and one
+    :class:`FallbackEvent` per unit in ``units`` is queued for the merge
+    step, so health keeps per-trace granularity.  If the whole chain
+    fails, ``terminal`` (the robust z/MAD baseline) scores the group — a
+    level is degraded, never silent.
     """
     level_name = state.level.name
     chain = state.chain
     for pos, name in enumerate(chain):
         with state.tracer.span(
-            "detector", level=level_name, detector=name, unit=unit
+            "detector", level=level_name, detector=name, unit=units[0],
+            batch=len(units),
         ) as sp:
             outcome = state.sandbox.call(
-                lambda name=name: make_detector(name).fit_score_series(series),
-                label=name,
+                lambda name=name: call(make_detector(name)), label=name
             )
             sp.set(
                 ok=outcome.ok,
@@ -400,138 +402,74 @@ def _score_series_resilient(
             )
         _observe_outcome(state, name, outcome)
         if outcome.ok:
-            return np.asarray(outcome.value, dtype=float), name
+            return cast(_T, outcome.value), name
         fallback = chain[pos + 1] if pos + 1 < len(chain) else "robust-baseline"
-        state.events.append(
-            (
-                "fallback",
-                FallbackEvent(
-                    level=level_name,
-                    unit=unit,
-                    failed_detector=name,
-                    error=outcome.error_text,
-                    fallback=fallback,
-                    attempts=outcome.attempts,
-                    timed_out=outcome.timed_out,
-                ),
+        for unit in units:
+            state.events.append(
+                (
+                    "fallback",
+                    FallbackEvent(
+                        level=level_name,
+                        unit=unit,
+                        failed_detector=name,
+                        error=outcome.error_text,
+                        fallback=fallback,
+                        attempts=outcome.attempts,
+                        timed_out=outcome.timed_out,
+                    ),
+                )
             )
-        )
     state.events.append(("terminal", level_name))
-    return robust_fallback_scores(np.asarray(series.values, dtype=float)), "robust-baseline"
-
-
-def _score_vectors_resilient(
-    state: _WorkerState, unit: str, X: np.ndarray
-) -> Tuple[np.ndarray, str]:
-    """Vector-level twin of :func:`_score_series_resilient`."""
-    level_name = state.level.name
-    chain = state.chain
-    for pos, name in enumerate(chain):
-        with state.tracer.span(
-            "detector", level=level_name, detector=name, unit=unit
-        ) as sp:
-            outcome = state.sandbox.call(
-                lambda name=name: make_detector(name).fit_score(X), label=name
-            )
-            sp.set(
-                ok=outcome.ok,
-                attempts=outcome.attempts,
-                timed_out=outcome.timed_out,
-            )
-        _observe_outcome(state, name, outcome)
-        if outcome.ok:
-            return np.asarray(outcome.value, dtype=float), name
-        fallback = chain[pos + 1] if pos + 1 < len(chain) else "robust-baseline"
-        state.events.append(
-            (
-                "fallback",
-                FallbackEvent(
-                    level=level_name,
-                    unit=unit,
-                    failed_detector=name,
-                    error=outcome.error_text,
-                    fallback=fallback,
-                    attempts=outcome.attempts,
-                    timed_out=outcome.timed_out,
-                ),
-            )
-        )
-    state.events.append(("terminal", level_name))
-    return robust_matrix_scores(X), "robust-baseline"
-
-
-def _score_series_group(
-    state: _WorkerState, unit: str, series_list: List[TimeSeries]
-) -> Tuple[List[np.ndarray], str]:
-    """One fallback-chain walk scoring a whole same-length group at once."""
-    level_name = state.level.name
-    chain = state.chain
-    for pos, name in enumerate(chain):
-        with state.tracer.span(
-            "detector", level=level_name, detector=name, unit=unit,
-            batch=len(series_list),
-        ) as sp:
-            outcome = state.sandbox.call(
-                lambda name=name: make_detector(name).fit_score_series_batch(
-                    series_list
-                ),
-                label=name,
-            )
-            sp.set(
-                ok=outcome.ok,
-                attempts=outcome.attempts,
-                timed_out=outcome.timed_out,
-            )
-        _observe_outcome(state, name, outcome)
-        if outcome.ok:
-            return [np.asarray(v, dtype=float) for v in outcome.value], name
-        fallback = chain[pos + 1] if pos + 1 < len(chain) else "robust-baseline"
-        state.events.append(
-            (
-                "fallback",
-                FallbackEvent(
-                    level=level_name,
-                    unit=unit,
-                    failed_detector=name,
-                    error=outcome.error_text,
-                    fallback=fallback,
-                    attempts=outcome.attempts,
-                    timed_out=outcome.timed_out,
-                ),
-            )
-        )
-    state.events.append(("terminal", level_name))
-    return [
-        robust_fallback_scores(np.asarray(s.values, dtype=float))
-        for s in series_list
-    ], "robust-baseline"
+    return terminal(), "robust-baseline"
 
 
 def _score_series_batch(
     state: _WorkerState,
-    scope: str,
     gated: List[Tuple[str, TimeSeries]],
+    units: List[str],
 ) -> List[Tuple[np.ndarray, str]]:
-    """Batched scoring: stack same-length channels through one detector fit.
+    """Score gated traces, stacking same-length ones through one detector fit.
 
-    Channels are grouped by sample count in first-occurrence order and
-    each group walks the fallback chain once via ``fit_score_series_batch``
-    — amortizing detector construction, sandbox overhead, and (for
-    vectorizing detectors such as ``ar``) the model fit itself.  Results
-    come back in the original channel order.
+    Traces are grouped by sample count in first-occurrence order and each
+    group walks the fallback chain once via ``fit_score_series_batch`` —
+    amortizing detector construction, sandbox overhead, and (for
+    detectors with a batch kernel) the model fit itself.  ``units`` label
+    each trace in fallback events.  Results come back in trace order.
     """
     groups: Dict[int, List[int]] = {}
     for i, (__, series) in enumerate(gated):
         groups.setdefault(len(series.values), []).append(i)
     results: List[Optional[Tuple[np.ndarray, str]]] = [None] * len(gated)
-    for length, idxs in groups.items():
+    for idxs in groups.values():
         series_list = [gated[i][1] for i in idxs]
-        unit = f"{scope}/batch[len={length},n={len(idxs)}]"
-        scores_list, name = _score_series_group(state, unit, series_list)
+        scores_list, name = _score_resilient(
+            state,
+            [units[i] for i in idxs],
+            lambda detector: [
+                np.asarray(v, dtype=float)
+                for v in detector.fit_score_series_batch(series_list)
+            ],
+            lambda: [
+                robust_fallback_scores(np.asarray(s.values, dtype=float))
+                for s in series_list
+            ],
+        )
         for i, scores in zip(idxs, scores_list):
             results[i] = (scores, name)
     state.batch_groups += len(groups)
     return cast(List[Tuple[np.ndarray, str]], results)
+
+
+def _score_matrix_resilient(
+    state: _WorkerState, unit: str, X: np.ndarray
+) -> Tuple[np.ndarray, str]:
+    """Vector-level scoring: one fallback-chain walk over one matrix."""
+    return _score_resilient(
+        state,
+        [unit],
+        lambda detector: np.asarray(detector.fit_score(X), dtype=float),
+        lambda: robust_matrix_scores(X),
+    )
 
 
 def _run_phase_task(state: _WorkerState, data: Tuple[object, ...]) -> object:
@@ -547,26 +485,15 @@ def _run_phase_task(state: _WorkerState, data: Tuple[object, ...]) -> object:
             expected = _modal_expected_length(items)
             scope = f"{machine_id}/job{job_index}/{phase_name}"
             gated: List[Tuple[str, TimeSeries]] = []
-            scored: List[Tuple[np.ndarray, str]] = []
-            if cfg.batch_scoring:
-                for sensor_id, series in items:
-                    kept = _gate_series_w(
-                        state, sensor_id, scope, series, expected_length=expected
-                    )
-                    if kept is not None:
-                        gated.append((sensor_id, kept))
-                scored = _score_series_batch(state, scope, gated)
-            else:
-                for sensor_id, series in items:
-                    kept = _gate_series_w(
-                        state, sensor_id, scope, series, expected_length=expected
-                    )
-                    if kept is None:
-                        continue
+            for sensor_id, series in items:
+                kept = _gate_series_w(
+                    state, sensor_id, scope, series, expected_length=expected
+                )
+                if kept is not None:
                     gated.append((sensor_id, kept))
-                    scored.append(
-                        _score_series_resilient(state, f"{scope}/{sensor_id}", kept)
-                    )
+            scored = _score_series_batch(
+                state, gated, [f"{scope}/{sensor_id}" for sensor_id, __ in gated]
+            )
             for (sensor_id, series), (scores, detector_name) in zip(gated, scored):
                 trace = _Trace(
                     channel_id=sensor_id,
@@ -599,20 +526,13 @@ def _run_env_task(state: _WorkerState, data: Tuple[object, ...]) -> object:
     line_id, items = cast(Tuple[str, Tuple[Tuple[str, TimeSeries], ...]], data)
     cfg = state.config
     gated: List[Tuple[str, TimeSeries]] = []
-    scored: List[Tuple[np.ndarray, str]] = []
-    if cfg.batch_scoring:
-        for channel_id, series in items:
-            kept = _gate_series_w(state, channel_id, line_id, series)
-            if kept is not None:
-                gated.append((channel_id, kept))
-        scored = _score_series_batch(state, f"{line_id}/env", gated)
-    else:
-        for channel_id, series in items:
-            kept = _gate_series_w(state, channel_id, line_id, series)
-            if kept is None:
-                continue
+    for channel_id, series in items:
+        kept = _gate_series_w(state, channel_id, line_id, series)
+        if kept is not None:
             gated.append((channel_id, kept))
-            scored.append(_score_series_resilient(state, channel_id, kept))
+    scored = _score_series_batch(
+        state, gated, [channel_id for channel_id, __ in gated]
+    )
     traces: List[Tuple[str, _Trace]] = []
     ids: List[str] = []
     for (channel_id, series), (scores, __) in zip(gated, scored):
@@ -631,7 +551,7 @@ def _run_env_task(state: _WorkerState, data: Tuple[object, ...]) -> object:
 def _run_job_task(state: _WorkerState, data: Tuple[object, ...]) -> object:
     keys, raw = cast(Tuple[Tuple[Tuple[str, int], ...], np.ndarray], data)
     X = _robust_standardize(_gate_matrix_w(state, raw, "job"))
-    scores, detector_name = _score_vectors_resilient(state, "job-table", X)
+    scores, detector_name = _score_matrix_resilient(state, "job-table", X)
     return keys, scores, detector_name
 
 
@@ -655,7 +575,7 @@ def _run_line_task(state: _WorkerState, data: Tuple[object, ...]) -> object:
             mad[mad <= 1e-12] = 1.0
             deltas[i] = (mat[i] - med) / mad
     augmented = np.hstack([_robust_standardize(mat), deltas])
-    scores, __ = _score_vectors_resilient(
+    scores, __ = _score_matrix_resilient(
         state, f"{line_id}/jobs-over-time", augmented
     )
     return identity, scores
@@ -664,7 +584,7 @@ def _run_line_task(state: _WorkerState, data: Tuple[object, ...]) -> object:
 def _run_production_task(state: _WorkerState, data: Tuple[object, ...]) -> object:
     panel, machine_ids = cast(Tuple[np.ndarray, Tuple[str, ...]], data)
     panel = _robust_standardize(_gate_matrix_w(state, panel, "production"))
-    scores, __ = _score_vectors_resilient(state, "production-panel", panel)
+    scores, __ = _score_matrix_resilient(state, "production-panel", panel)
     return machine_ids, scores
 
 
@@ -682,7 +602,7 @@ def _run_scoring_task(
 ) -> _TaskResult:
     """Execute one scoring task (module-level: crosses the pickle boundary).
 
-    Serial and thread executors inject the run's shared telemetry clock;
+    The serial executor injects the run's shared telemetry clock;
     process workers fall back to ``time.monotonic`` and their span trees
     are grafted as roots (worker clocks are not comparable with an
     injected main-process clock).  Shared-memory payloads are resolved
@@ -1185,6 +1105,8 @@ class PlantHierarchyContext(HierarchyContext):
         double-record), and span trees graft under the open build/refresh
         span (or as roots for process workers).
         """
+        # like ``parallel.tasks``: the last engine run, not a running total
+        self._batch_group_count = 0
         for result in results.values():
             assert isinstance(result, _TaskResult)
             self.telemetry.tracer.graft(result.spans, parent_id=parent_id)
@@ -1575,7 +1497,9 @@ class PlantHierarchyContext(HierarchyContext):
         executor-invariant — wall-clock numbers live in
         :meth:`engine_stats` and the metrics registry instead, so stats
         (and therefore serialized reports) stay byte-identical across
-        ``serial``/``thread``/``process`` runs.
+        ``serial``/``process`` runs.  ``parallel`` describes the last
+        engine run (the cold build, or the latest refresh): its task
+        count and its same-length scoring groups.
         """
         health = self.health
         return {
@@ -1629,17 +1553,6 @@ class PlantHierarchyContext(HierarchyContext):
         for cache_name, entry in tree["cache"].items():
             if entry["calls"]:
                 ratio.set(entry["hits"] / entry["calls"], cache=cache_name)
-
-    @property
-    def cache_stats(self) -> PipelineStats:
-        """Deprecated accessor: use ``stats()["cache"]`` instead."""
-        warnings.warn(
-            "PlantHierarchyContext.cache_stats is deprecated and will be "
-            "removed; read stats()['cache'] (one nested schema) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._stats
 
     def reset_stats(self) -> None:
         self._stats = PipelineStats()

@@ -249,7 +249,7 @@ def resolve_payload(payload: object) -> Tuple[object, float, int]:
     """Worker-side decode: rebuild a :class:`ShmPayload` into live arrays.
 
     Returns ``(payload, decode_seconds, shared_bytes)``.  Plain payloads
-    (serial/thread executors, or shm transport off) pass through with
+    (serial executor, or shm transport off) pass through with
     zero cost.  The attachment is per-task — opened, read, closed — so no
     worker-global state survives between tasks (DET101 stays happy).
     """

@@ -572,12 +572,19 @@ def has_batch_kernel(detector_cls: type) -> bool:
     Structural twin of the ``supports_batch`` flag: a detector has a
     kernel when it overrides ``fit_score_series_batch`` beyond the generic
     loop/orchestrator implementations, or (for :class:`VectorDetector`
-    subclasses) overrides the ``_batch_score_windows`` hook.  The test
-    suite asserts ``has_batch_kernel(cls) == cls.supports_batch`` for
+    subclasses) overrides the ``_batch_score_windows`` hook.  An inherited
+    hook does not count once a subclass overrides ``_fit_matrix`` or
+    ``_score_matrix``: the kernel never calls them, so it would bypass the
+    override (the chaos wrappers inject their faults exactly there).  The
+    test suite asserts ``has_batch_kernel(cls) == cls.supports_batch`` for
     every registry detector, so the flag cannot drift from the code.
     """
     generic = {BaseDetector.fit_score_series_batch, VectorDetector.fit_score_series_batch}
     if detector_cls.fit_score_series_batch not in generic:
         return True
-    hook = getattr(detector_cls, "_batch_score_windows", None)
-    return hook is not None and hook is not VectorDetector._batch_score_windows
+    for klass in detector_cls.__mro__:
+        if "_batch_score_windows" in vars(klass):
+            return klass is not VectorDetector
+        if "_fit_matrix" in vars(klass) or "_score_matrix" in vars(klass):
+            return False
+    return False

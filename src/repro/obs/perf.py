@@ -6,9 +6,10 @@ time and memory went* and *whether it got slower than last time*:
 * :func:`to_chrome_trace` — renders a (possibly grafted) span forest in
   the Chrome trace-event format, loadable in Perfetto / ``chrome://
   tracing``: one pid/tid lane per executor worker (real worker pids for
-  the process executor, thread names for the thread pool), ``B``/``E``
-  duration events, and ``s``/``f`` flow events linking each task's
-  submit point in the main process to its execution in a worker;
+  the process executor; named thread lanes for trace files written by
+  earlier versions, which had a thread pool), ``B``/``E`` duration
+  events, and ``s``/``f`` flow events linking each task's submit point
+  in the main process to its execution in a worker;
 * :func:`validate_chrome_trace` — the structural well-formedness check
   the export tests and hypothesis properties assert (balanced ``B``/``E``
   per lane, non-decreasing timestamps within a lane, paired flow ids);
@@ -83,9 +84,11 @@ def _worker_lane(worker: str, tids: Dict[str, int]) -> _Lane:
     """Map a task root span's ``worker`` label onto a (pid, tid) lane.
 
     ``pid-<n>`` labels (process executor) become real-pid lanes;
-    thread-pool labels share the main pid with one tid per thread name
-    (assigned in first-appearance order, hence deterministic for a
-    deterministic span order); ``main`` is the main lane.
+    ``main`` is the main lane.  Any other label — a thread name, as in
+    trace files written by earlier versions that had a thread-pool
+    executor — shares the main pid with one tid per label (assigned in
+    first-appearance order, hence deterministic for a deterministic span
+    order).
     """
     if worker == "main":
         return (_MAIN_PID, _MAIN_TID)
@@ -121,7 +124,8 @@ def to_chrome_trace(
     ancestor (including itself) carrying a ``worker`` attribute — the
     label :func:`repro.core.pipeline._worker_label` stamps on task root
     spans — so process-executor runs get one lane per real worker pid
-    and thread runs one lane per pool thread.  ``M`` metadata events
+    (and traces from earlier thread-pool runs one lane per pool thread).
+    ``M`` metadata events
     name the lanes; ``s``/``f`` flow events connect each task root to
     its submit anchor in the main lane (the grafted root's parent when
     it has one, else the open ``pipeline.build`` / ``pipeline.refresh``

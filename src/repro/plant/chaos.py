@@ -24,7 +24,7 @@ import pathlib
 import signal
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -277,6 +277,11 @@ def kill_after_snapshots(n: int) -> Callable[[pathlib.Path], None]:
 # ----------------------------------------------------------------------
 # detector-level chaos: raising / flaky / hanging wrappers
 # ----------------------------------------------------------------------
+#
+# Each wrapper injects its fault in ``_fit_matrix``, so none of them may
+# inherit MAD's batch kernel (which never calls ``_fit_matrix``): with
+# ``supports_batch = False`` a batched call runs the scalar loop and the
+# fault fires per series, exactly as it does under ``fit_score_series``.
 class RaisingDetector(MADDetector):
     """Always raises: the always-broken detector of the acceptance test.
 
@@ -287,6 +292,7 @@ class RaisingDetector(MADDetector):
 
     name = "chaos-raise"
     citation = "chaos harness"
+    supports_batch = False
 
     def _fit_matrix(self, X: np.ndarray) -> None:
         raise DetectorError("chaos: injected detector failure")
@@ -302,6 +308,7 @@ class FlakyDetector(MADDetector):
 
     name = "chaos-flaky"
     citation = "chaos harness"
+    supports_batch = False
     failures_remaining: int = 0
 
     @classmethod
@@ -325,6 +332,7 @@ class HangingDetector(MADDetector):
 
     name = "chaos-hang"
     citation = "chaos harness"
+    supports_batch = False
     delay: float = 3600.0
 
     def _fit_matrix(self, X: np.ndarray) -> None:

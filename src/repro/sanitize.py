@@ -1,28 +1,23 @@
-"""Runtime determinism & concurrency sanitizer (``repro sanitize``).
+"""Runtime determinism sanitizer (``repro sanitize``).
 
 The static DET1xx rules (``tools/lint``) prove worker purity on the
 *reference graph* they can see; this module is the dynamic complement
-that catches what static analysis cannot — entropy and shared state that
-only exist at runtime:
+that catches what static analysis cannot — entropy that only exists at
+runtime:
 
 * :class:`RngTrap` — intercepts ``np.random.default_rng`` construction
   and stdlib ``random`` calls while a run is wrapped, and reports any
   *unseeded* generator (**SAN101**) or stdlib-random use (**SAN102**)
   originating from ``repro`` code, with the construction site's
   file:line;
-* :class:`SharedWriteTracker` — a ``threading.settrace`` write tracker:
-  when a worker-thread frame in a watched module returns, the module's
-  globals are fingerprinted against the pre-run baseline and any drift
-  is reported as a cross-task shared write (**SAN103**), attributed to
-  the task key the engine tagged via :func:`wrap_worker`;
 * :func:`hash_seed_replay` — replays a run in two subprocesses with
   different ``PYTHONHASHSEED`` values and byte-compares the canonical
   report serialization (**SAN104** on divergence) — the dynamic twin of
   lint rule DET103, and the check that would have caught the PR-5
   simulator bug on the first run;
-* :func:`executor_matrix` — runs the same detection under the serial,
-  thread, and process executors and byte-compares the reports
-  (**SAN105** on divergence), the contract the chaos suite asserts.
+* :func:`executor_matrix` — runs the same detection under the serial
+  and process executors and byte-compares the reports (**SAN105** on
+  divergence), the contract the chaos suite asserts.
 
 Findings carry the same ``(rule, path, line, message, hint)`` schema,
 text/JSON/SARIF rendering, exit codes, and baseline suppression format
@@ -30,26 +25,22 @@ as ``repro lint`` — deliberately mirrored here rather than imported,
 because ``tools.lint`` only exists in a repository checkout while the
 sanitizer ships inside the package.
 
-Enable via the CLI (``repro sanitize``) or by exporting
-``REPRO_SANITIZE=1``, which makes :class:`ParallelEngine` tag every task
-through :func:`wrap_worker` so shared writes attribute to task keys.
+Run it via the CLI (``repro sanitize``).
 
 Known limitation: findings recorded *inside forked process workers* die
-with the worker — the RNG trap and write tracker cover the serial and
-thread executors; the process executor is covered by the replay and
-matrix checks, which observe its output bytes from the parent.
+with the worker — the RNG trap covers the serial executor; the process
+executor is covered by the replay and matrix checks, which observe its
+output bytes from the parent.
 """
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import json
 import os
 import random  # repro-lint: disable=DET002  (patched, never consumed)
 import subprocess
 import sys
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -59,23 +50,16 @@ import numpy as np
 __all__ = [
     "Finding",
     "RngTrap",
-    "SharedWriteTracker",
     "apply_baseline",
     "executor_matrix",
     "format_findings",
     "hash_seed_replay",
     "load_baseline",
     "sarif_document",
-    "wrap_worker",
 ]
 
 #: Schema tag shared with the repro-lint baseline file format.
 BASELINE_SCHEMA = "repro.lint-baseline/1"
-
-#: Task key of the currently executing engine task (set by wrap_worker).
-_CURRENT_TASK: contextvars.ContextVar[str] = contextvars.ContextVar(
-    "repro_sanitize_task", default=""
-)
 
 #: stdlib random functions the trap intercepts (module-level entry points
 #: of the shared global-state Mersenne Twister).
@@ -220,143 +204,6 @@ class RngTrap:
         self._saved_stdlib.clear()
 
 
-#: Fingerprint of one global binding: identity plus a shallow content
-#: summary, enough to see rebinding and container growth/shrinkage.
-_Fingerprint = Tuple[object, ...]
-
-
-def _fingerprint(value: object) -> _Fingerprint:
-    if isinstance(value, (dict, list, set, frozenset)):
-        return ("container", id(value), len(value))
-    if isinstance(value, (int, float, str, bytes, bool, type(None))):
-        return ("scalar", value)
-    return ("object", id(value))
-
-
-class SharedWriteTracker:
-    """Detects module-global writes made by engine worker threads.
-
-    ``start()`` fingerprints the globals of every loaded module whose
-    dotted name starts with one of ``watch`` and installs a
-    ``threading.settrace`` hook.  The hook only fires in threads started
-    *after* installation — exactly the engine's ``repro-task`` pool
-    threads — and only pays for ``call``/``return`` events
-    (``f_trace_lines`` is disabled per frame).  When a frame belonging
-    to a watched module returns, that module's globals are re-fingerprinted
-    and any drift becomes one SAN103 finding per ``(module, name)``,
-    attributed to the task key :func:`wrap_worker` stored in the
-    context variable.
-    """
-
-    def __init__(self, watch: Tuple[str, ...] = ("repro",)) -> None:
-        self.watch = watch
-        self.findings: List[Finding] = []
-        self._baseline: Dict[str, Dict[str, _Fingerprint]] = {}
-        self._reported: set = set()
-        self._lock = threading.Lock()
-
-    def _watched(self, module: str) -> bool:
-        if module == "repro.sanitize":
-            return False
-        return any(
-            module == prefix or module.startswith(prefix + ".")
-            for prefix in self.watch
-        )
-
-    def _snapshot(self, module_globals: Dict[str, object]) -> Dict[str, _Fingerprint]:
-        return {
-            name: _fingerprint(value)
-            for name, value in list(module_globals.items())
-            if not name.startswith("__")
-        }
-
-    def start(self) -> "SharedWriteTracker":
-        for name, module in list(sys.modules.items()):
-            if module is not None and self._watched(name):
-                self._baseline[name] = self._snapshot(vars(module))
-        threading.settrace(self._trace)
-        return self
-
-    def stop(self) -> "SharedWriteTracker":
-        threading.settrace(None)  # type: ignore[arg-type]
-        return self
-
-    def __enter__(self) -> "SharedWriteTracker":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    # -- trace hooks -------------------------------------------------
-
-    def _trace(self, frame: object, event: str, arg: object):  # type: ignore[no-untyped-def]
-        if event != "call":
-            return None
-        module = frame.f_globals.get("__name__", "")  # type: ignore[attr-defined]
-        if not self._watched(module):
-            return None
-        frame.f_trace_lines = False  # type: ignore[attr-defined]
-        return self._local
-
-    def _local(self, frame: object, event: str, arg: object):  # type: ignore[no-untyped-def]
-        if event == "return":
-            self._check_frame(frame)
-        return self._local
-
-    def _check_frame(self, frame: object) -> None:
-        module = frame.f_globals.get("__name__", "")  # type: ignore[attr-defined]
-        baseline = self._baseline.get(module)
-        if baseline is None:
-            return
-        current = self._snapshot(frame.f_globals)  # type: ignore[attr-defined]
-        task = _CURRENT_TASK.get()
-        for name, print_now in current.items():
-            before = baseline.get(name)
-            if before == print_now:
-                continue
-            key = (module, name)
-            with self._lock:
-                if key in self._reported:
-                    continue
-                self._reported.add(key)
-            change = "rebound" if before is not None else "created"
-            where = f" during task {task!r}" if task else ""
-            self.findings.append(
-                Finding(
-                    rule="SAN103",
-                    path=_display(frame.f_code.co_filename),  # type: ignore[attr-defined]
-                    line=int(frame.f_lineno),  # type: ignore[attr-defined]
-                    message=f"worker thread {change} module global "
-                    f"{module}.{name}{where}: cross-task shared state "
-                    "races under the thread executor and silently forks "
-                    "under the process executor",
-                    hint="return the value from the task and merge "
-                    "deterministically in the parent (static rule DET101)",
-                )
-            )
-
-
-def wrap_worker(
-    worker: Callable[[object], object],
-) -> Callable[[object], object]:
-    """Tag each task's key into the sanitize context (engine hook).
-
-    Returns a :func:`functools.partial` of a module-level function so
-    the wrapped worker still crosses the pickle boundary for the
-    process executor.
-    """
-    return functools.partial(_tagged_call, worker)
-
-
-def _tagged_call(worker: Callable[[object], object], payload: object) -> object:
-    label = str(getattr(payload, "key", "") or type(payload).__name__)
-    token = _CURRENT_TASK.set(label)
-    try:
-        return worker(payload)
-    finally:
-        _CURRENT_TASK.reset(token)
-
-
 # -- subprocess replay / executor matrix -----------------------------
 
 
@@ -403,7 +250,6 @@ def hash_seed_replay(
     outputs: List[bytes] = []
     for hash_seed in hash_seeds:
         env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
-        env.pop("REPRO_SANITIZE", None)  # children run untraced
         proc = subprocess.run(
             [sys.executable, "-m", "repro", *child_argv],
             capture_output=True,
@@ -442,7 +288,7 @@ def hash_seed_replay(
 
 def executor_matrix(
     make_dataset: Callable[[], object],
-    executors: Sequence[str] = ("serial", "thread", "process"),
+    executors: Sequence[str] = ("serial", "process"),
     chaos_dropout: float = 0.0,
     chaos_seed: int = 0,
 ) -> List[Finding]:
@@ -472,7 +318,7 @@ def executor_matrix(
                     message=f"reports from the {executor!r} executor are not "
                     f"byte-identical to {reference_executor!r}: the "
                     "determinism contract of repro.core.parallel is broken",
-                    hint="look for worker-side shared state (SAN103/DET101) "
+                    hint="look for worker-side shared state (DET101) "
                     "or completion-order-dependent merging",
                 )
             )

@@ -400,9 +400,9 @@ def _uninterrupted(dataset, *, tail: int = 2, **config_kwargs):
 
 class TestCrashResumeByteIdentity:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("executor", ("serial", "thread"))
+    @pytest.mark.parametrize("executor", ("serial", "process"))
     def test_resume_matches_uninterrupted_run(self, seed, executor, tmp_path):
-        workers = {} if executor == "serial" else {"max_workers": 4}
+        workers = {} if executor == "serial" else {"max_workers": 2}
         kill_after = int(np.random.default_rng(seed).integers(0, 9))
         resumed = _interrupted_then_resumed(
             _plant(seed), tmp_path / "snaps", kill_after=kill_after,

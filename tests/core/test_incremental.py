@@ -21,7 +21,6 @@ from repro.io import reports_to_json
 from repro.plant import ChaosConfig, PlantConfig, inject_chaos, simulate_plant
 
 SEEDS = (3, 11, 29)
-EXECUTORS = ("serial", "thread", "process")
 
 
 def _plant(seed: int):
@@ -54,9 +53,9 @@ def _replay(dataset, tail: int, **config):
 # ----------------------------------------------------------------------
 class TestIncrementalByteIdentity:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("executor", ("serial", "thread"))
+    @pytest.mark.parametrize("executor", ("serial", "process"))
     def test_matches_cold_recompute(self, seed, executor):
-        workers = {} if executor == "serial" else {"max_workers": 4}
+        workers = {} if executor == "serial" else {"max_workers": 2}
         warm, summaries = _replay(_plant(seed), tail=2, executor=executor, **workers)
         cold = HierarchicalDetectionPipeline(
             _plant(seed), config=PipelineConfig(executor=executor, **workers)
@@ -85,15 +84,15 @@ class TestIncrementalByteIdentity:
 
     def test_incremental_path_is_executor_invariant(self):
         docs = {}
-        for executor in ("serial", "thread"):
-            workers = {} if executor == "serial" else {"max_workers": 4}
+        for executor in ("serial", "process"):
+            workers = {} if executor == "serial" else {"max_workers": 2}
             warm, __ = _replay(_plant(7), tail=2, executor=executor, **workers)
             docs[executor] = reports_to_json(
                 warm.run(), health=warm.health, stats=warm.stats()
             )
         # full doc including the stats tree: the incremental counters are
         # scheduling-independent, so even stats are byte-identical
-        assert docs["serial"] == docs["thread"]
+        assert docs["serial"] == docs["process"]
 
     def test_refresh_reruns_only_the_dirty_closure(self):
         dataset = _plant(11)
@@ -280,3 +279,43 @@ class TestScopedEviction:
         cold_registered = {m.name for m in cold.telemetry.metrics.collect()}
         # cold runs expose exactly the families they always have
         assert "repro_incremental_refreshes_total" not in cold_registered
+
+
+def _same_length_groups(traces) -> int:
+    """Batched scoring groups for one set of traces: one per sample count."""
+    return len({len(series.values) for series in traces})
+
+
+class TestParallelStatsScope:
+    """``stats()["parallel"]`` describes the last engine run: after a
+    refresh both ``tasks`` and ``batch_groups`` count the dirty subgraph
+    only, never a running total across runs."""
+
+    def test_block_after_refresh_counts_the_refreshed_tasks(self):
+        base, arrivals = _plant(3).split_tail(1)
+        pipeline = HierarchicalDetectionPipeline(base)
+        cold_groups = sum(
+            _same_length_groups(phase.series.values())
+            for machine in base.iter_machines()
+            for job in machine.jobs
+            for phase in job.phases
+        ) + sum(_same_length_groups(line.environment.values()) for line in base.lines)
+        assert pipeline.stats()["parallel"] == {
+            "tasks": 10, "batch_groups": cold_groups,
+        }
+        for machine_id, job in arrivals[:2]:
+            summary = pipeline.ingest_job(machine_id, job)
+            (machine,) = [
+                m for m in pipeline.context.dataset.iter_machines()
+                if m.machine_id == machine_id
+            ]
+            # the refresh re-ran one phase task: its (job, phase) groups
+            refreshed_groups = sum(
+                _same_length_groups(phase.series.values())
+                for scored_job in machine.jobs
+                for phase in scored_job.phases
+            )
+            assert pipeline.stats()["parallel"] == {
+                "tasks": summary["dirty_tasks"], "batch_groups": refreshed_groups,
+            }
+            assert pipeline.context.engine_stats().n_tasks == summary["dirty_tasks"]

@@ -1,11 +1,12 @@
-"""Executor-invariance suite: serial / thread / process are one pipeline.
+"""Executor-invariance suite: serial and process are one pipeline.
 
 The engine's headline guarantee is that the executor is a pure
 performance knob: the serialized reports — including the embedded
-health record and stats tree — are *byte-identical* across all three
+health record and stats tree — are *byte-identical* across both
 executors, for every seed, and even when chaos fault injection degrades
-the run.  Batched scoring is the one documented exception (different
-detector-call grouping): it must agree numerically, not byte-wise.
+the run.  Series levels are scored in same-length batches;
+:class:`TestPerTraceReference` pins that path against recorded output of
+the per-trace scoring it replaced.
 """
 
 from __future__ import annotations
@@ -18,15 +19,25 @@ import sys
 import numpy as np
 import pytest
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-
+from perfbench.checks import compare_reports, report_fields
+from repro.core import ProductionLevel
 from repro.core.pipeline import (
     HierarchicalDetectionPipeline,
     PipelineConfig,
 )
+from repro.core.resilience import SandboxPolicy
+from repro.core.selection import AlgorithmSelector
 from repro.io import reports_to_json
-from repro.plant import ChaosConfig, PlantConfig, inject_chaos, simulate_plant
+from repro.plant import (
+    ChaosConfig,
+    FaultConfig,
+    PlantConfig,
+    SensorSpec,
+    inject_chaos,
+    simulate_plant,
+)
 
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 SEEDS = (3, 11, 29)
 
 
@@ -45,12 +56,6 @@ def _run_json(dataset, **config) -> str:
 
 
 class TestExecutorInvariance:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_thread_matches_serial_byte_for_byte(self, seed):
-        baseline = _run_json(_plant(seed), executor="serial")
-        threaded = _run_json(_plant(seed), executor="thread", max_workers=4)
-        assert threaded == baseline
-
     def test_process_matches_serial_byte_for_byte(self):
         # one seed: process pools are expensive, and the pickle boundary
         # either works or it doesn't
@@ -63,15 +68,15 @@ class TestExecutorInvariance:
             executor: json.loads(
                 _run_json(_plant(7), executor=executor, max_workers=2)
             )
-            for executor in ("serial", "thread")
+            for executor in ("serial", "process")
         }
         assert (
             docs["serial"]["telemetry"]["stats"]
-            == docs["thread"]["telemetry"]["stats"]
+            == docs["process"]["telemetry"]["stats"]
         )
         parallel = docs["serial"]["telemetry"]["stats"]["parallel"]
         assert parallel["tasks"] > 0
-        assert parallel["batch_groups"] == 0  # batching off by default
+        assert parallel["batch_groups"] > 0  # series levels score in groups
 
 
 class TestHashSeedInvariance:
@@ -113,7 +118,7 @@ class TestHashSeedInvariance:
         digests = {
             self._digest(hashseed, executor)
             for hashseed in ("1", "2")
-            for executor in ("serial", "thread")
+            for executor in ("serial", "process")
         }
         assert len(digests) == 1, "reports depend on PYTHONHASHSEED"
 
@@ -128,34 +133,93 @@ class TestChaosInvariance:
             return dataset
 
         baseline = _run_json(chaotic(), executor="serial")
-        threaded = _run_json(chaotic(), executor="thread", max_workers=4)
-        assert threaded == baseline
+        forked = _run_json(chaotic(), executor="process", max_workers=2)
+        assert forked == baseline
         # the guarantee is only interesting if the run actually degraded
         health = json.loads(baseline)["telemetry"]["run_health"]
         assert health["quarantines"] or health["warnings"]
 
 
-class TestBatchScoring:
-    def test_batch_mode_agrees_numerically(self):
-        plain = json.loads(_run_json(_plant(7)))
-        batched_pipeline = HierarchicalDetectionPipeline(
-            _plant(7), config=PipelineConfig(batch_scoring=True)
-        )
-        batched_reports = batched_pipeline.run()
-        batched = json.loads(reports_to_json(batched_reports))
-        assert len(batched["reports"]) == len(plain["reports"])
-        for a, b in zip(plain["reports"], batched["reports"]):
-            assert a["global_score"] == pytest.approx(b["global_score"], abs=1e-9)
-            assert a["outlierness"] == pytest.approx(b["outlierness"], abs=1e-9)
-            assert a["support"] == pytest.approx(b["support"], abs=1e-9)
-        assert batched_pipeline.stats()["parallel"]["batch_groups"] > 0
+#: Recorded output of the per-trace series path (one detector fit per
+#: trace), the scoring this suite's batch-only pipeline replaced.  Made
+#: on the last version that still had it, with ``batch_scoring=False``:
+#: per plant, perfbench's ``report_fields`` of every ranked report plus
+#: the health record's fallbacks and quarantines.
+REFERENCE = pathlib.Path(__file__).with_name("per_trace_reference.json")
 
-    def test_batch_mode_is_itself_executor_invariant(self):
-        serial = _run_json(_plant(7), batch_scoring=True)
-        threaded = _run_json(
-            _plant(7), batch_scoring=True, executor="thread", max_workers=4
+#: four redundant chamber sensors, as in the chaos acceptance suite
+CHAOS_SENSORS = (
+    SensorSpec("chamber_temp", "degC", "chamber_temp", 0.4),
+    SensorSpec("chamber_temp", "degC", "chamber_temp", 0.4),
+    SensorSpec("chamber_temp", "degC", "chamber_temp", 0.4),
+    SensorSpec("chamber_temp", "degC", "chamber_temp", 0.4),
+    SensorSpec("bed_temp", "degC", "bed_temp", 0.3),
+)
+
+
+def _chaos_acceptance_pipeline():
+    """The chaos acceptance run at ``CHAOS_SEED=0``: 20% dropout, one
+    targeted chamber twin, and ``chaos-raise`` first at PHASE."""
+    dataset = simulate_plant(
+        PlantConfig(
+            seed=23, n_lines=1, machines_per_line=2, jobs_per_machine=4,
+            sensors=CHAOS_SENSORS,
+            faults=FaultConfig(
+                process_fault_rate=0.6, sensor_fault_rate=0.0,
+                setup_anomaly_rate=0.0,
+            ),
         )
-        assert threaded == serial
+    )
+    machine = next(dataset.iter_machines())
+    group = machine.redundancy_groups()[f"{machine.machine_id}/chamber_temp"]
+    chaotic, __ = inject_chaos(
+        dataset,
+        ChaosConfig(
+            seed=0, sensor_dropout_rate=0.2, dropout_sensors=(group[-1].sensor_id,)
+        ),
+    )
+    selector = AlgorithmSelector()
+    selector.override(
+        ProductionLevel.PHASE, ["chaos-raise", "ar", "deviants", "zscore"]
+    )
+    return HierarchicalDetectionPipeline(
+        chaotic, selector=selector,
+        config=PipelineConfig(sandbox=SandboxPolicy(max_attempts=1)),
+    )
+
+
+REFERENCE_PLANTS = {
+    **{
+        f"seed-{seed}": lambda seed=seed: HierarchicalDetectionPipeline(_plant(seed))
+        for seed in SEEDS
+    },
+    "chaos-23": _chaos_acceptance_pipeline,
+}
+
+
+class TestPerTraceReference:
+    """Batch-only scoring reproduces the per-trace path it replaced:
+    ranks and discrete fields exactly, scores within the benchmark's own
+    tolerance (``perfbench.checks.compare_reports``), and the same
+    per-trace fallback and quarantine records in the same order."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return json.loads(REFERENCE.read_text(encoding="utf-8"))
+
+    def test_reference_covers_every_plant(self, reference):
+        assert sorted(reference) == sorted(REFERENCE_PLANTS)
+
+    @pytest.mark.parametrize("plant", sorted(REFERENCE_PLANTS))
+    def test_matches_recorded_reference(self, plant, reference):
+        expected = reference[plant]
+        pipeline = REFERENCE_PLANTS[plant]()
+        doc = json.loads(reports_to_json(pipeline.run(), health=pipeline.health))
+        got = [report_fields(row) for row in doc["reports"]]
+        assert compare_reports(got, expected["reports"]) is None
+        health = pipeline.health.as_dict()
+        assert health["fallbacks"] == expected["fallbacks"]
+        assert health["quarantines"] == expected["quarantines"]
 
 
 class TestBatchedARKernel:

@@ -81,20 +81,25 @@ class TestResolveWorkers:
         assert resolve_workers("serial", 8) == 1
 
     def test_explicit_cap_honoured(self):
-        assert resolve_workers("thread", 3) == 3
+        assert resolve_workers("process", 3) == 3
 
     def test_cap_must_be_positive(self):
         with pytest.raises(ValueError, match="max_workers"):
-            resolve_workers("thread", 0)
+            resolve_workers("process", 0)
 
     def test_auto_sizing_is_positive(self):
-        assert resolve_workers("thread", None) >= 1
+        assert resolve_workers("process", None) >= 1
 
 
 class TestParallelEngine:
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
             ParallelEngine("greenlet")
+
+    def test_thread_executor_is_gone(self):
+        assert EXECUTORS == ("serial", "process")
+        with pytest.raises(ValueError, match="unknown executor"):
+            ParallelEngine("thread")
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_results_in_insertion_order(self, executor):
@@ -107,7 +112,7 @@ class TestParallelEngine:
         assert set(stats.task_seconds) == {"a", "b", "c", "d"}
         assert stats.max_queue_depth >= 1
 
-    @pytest.mark.parametrize("executor", ("serial", "thread"))
+    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_worker_errors_propagate(self, executor):
         graph = TaskGraph()
         for i in range(5):
@@ -128,7 +133,7 @@ class TestParallelEngine:
 class TestEngineStats:
     def test_speedup_is_compute_over_wall(self):
         stats = EngineStats(
-            executor="thread",
+            executor="process",
             workers=2,
             n_tasks=2,
             wall_seconds=1.0,

@@ -8,7 +8,6 @@ from repro.core import (
     HierarchicalDetectionPipeline,
     OutlierCandidate,
     PipelineConfig,
-    PipelineStats,
     ProductionLevel,
 )
 from repro.io import reports_to_json
@@ -109,13 +108,6 @@ class TestCounters:
         from repro.core.pipeline import STATS_SCHEMA
 
         assert pipeline.stats()["schema"] == STATS_SCHEMA
-
-    def test_deprecated_accessor_still_works_but_warns(self, pipeline):
-        import pytest
-
-        with pytest.deprecated_call():
-            stats = pipeline.context.cache_stats
-        assert isinstance(stats, PipelineStats)
 
 
 class TestCacheSemantics:

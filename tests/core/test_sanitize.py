@@ -1,8 +1,7 @@
 """Runtime sanitizer suite (``repro.sanitize`` + ``repro sanitize``).
 
-Covers the four dynamic checks: the unseeded-RNG trap (SAN101/SAN102),
-the worker shared-write tracker on a seeded race fixture (SAN103), the
-dual-``PYTHONHASHSEED`` replay plumbing (SAN104), and the executor
+Covers the three dynamic checks: the unseeded-RNG trap (SAN101/SAN102),
+the dual-``PYTHONHASHSEED`` replay plumbing (SAN104), and the executor
 byte-identity matrix (SAN105) — plus the finding renderers, baseline
 suppression, and the CLI exit-code contract shared with ``repro lint``.
 """
@@ -12,22 +11,16 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import pickle
-import sys
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from repro import sanitize
 from repro.cli import main
-from repro.core.parallel import ParallelEngine, Task, TaskGraph
 from repro.io import save_plant
 from repro.plant import PlantConfig, simulate_plant
 from repro.sanitize import (
     Finding,
     RngTrap,
-    SharedWriteTracker,
     apply_baseline,
     canonical_report_bytes,
     executor_matrix,
@@ -35,10 +28,7 @@ from repro.sanitize import (
     hash_seed_replay,
     load_baseline,
     sarif_document,
-    wrap_worker,
 )
-
-from tests.core import race_fixture_module
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -100,96 +90,22 @@ class TestRngTrap:
         assert rng.integers(0, 10) == np.random.default_rng(42).integers(0, 10)
 
 
-@dataclass(frozen=True)
-class _Payload:
-    key: str
-    value: int
-
-
-def _graph(n: int = 6) -> TaskGraph:
-    graph = TaskGraph()
-    for i in range(n):
-        graph.add(Task(key=f"t{i}", payload=_Payload(key=f"t{i}", value=i)))
-    return graph
-
-
-class TestSharedWriteTracker:
-    def test_seeded_race_fixture_reports_shared_write(self, monkeypatch):
-        race_fixture_module._RESULTS.clear()
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        tracker = SharedWriteTracker(watch=(race_fixture_module.__name__,))
-        tracker.start()
-        try:
-            engine = ParallelEngine(executor="thread", max_workers=4)
-            results, __ = engine.run(_graph(), race_fixture_module.racy_worker)
-        finally:
-            tracker.stop()
-        assert results == {f"t{i}": i for i in range(6)}  # behavior unchanged
-        rules = [f.rule for f in tracker.findings]
-        assert rules == ["SAN103"]
-        finding = tracker.findings[0]
-        assert "_RESULTS" in finding.message
-        assert race_fixture_module.__name__ in finding.message
-        assert "during task 't" in finding.message  # attributed via wrap_worker
-        assert finding.path.endswith("race_fixture_module.py")
-
-    def test_pure_worker_is_clean(self, monkeypatch):
-        race_fixture_module._RESULTS.clear()
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        tracker = SharedWriteTracker(watch=(race_fixture_module.__name__,))
-        with tracker:
-            engine = ParallelEngine(executor="thread", max_workers=4)
-            results, __ = engine.run(_graph(), race_fixture_module.pure_worker)
-        assert results == {f"t{i}": 2 * i for i in range(6)}
-        assert tracker.findings == []
-
-    def test_deduplicates_per_global(self, monkeypatch):
-        # six tasks all hit _RESULTS; one finding, not six
-        race_fixture_module._RESULTS.clear()
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        with SharedWriteTracker(watch=(race_fixture_module.__name__,)) as tracker:
-            ParallelEngine(executor="thread", max_workers=2).run(
-                _graph(), race_fixture_module.racy_worker
-            )
-        assert len(tracker.findings) == 1
-
-    def test_main_thread_untraced(self):
-        # settrace only hooks threads started after install: direct calls
-        # from the installing thread are invisible by design
-        race_fixture_module._RESULTS.clear()
-        with SharedWriteTracker(watch=(race_fixture_module.__name__,)) as tracker:
-            race_fixture_module.racy_worker(_Payload(key="main", value=1))
-        assert tracker.findings == []
-
-
-class TestWorkerWrapping:
-    def test_wrap_worker_is_picklable(self):
-        wrapped = wrap_worker(race_fixture_module.pure_worker)
-        clone = pickle.loads(pickle.dumps(wrapped))
-        assert clone(_Payload(key="x", value=21)) == 42
-
-    def test_engine_only_wraps_when_enabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        seen = []
-
-        def worker(payload):
-            seen.append(sanitize._CURRENT_TASK.get())
-            return payload.value
-
-        ParallelEngine(executor="serial").run(_graph(1), worker)
-        assert seen == [""]
-
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        seen.clear()
-        ParallelEngine(executor="serial").run(_graph(1), worker)
-        assert seen == ["t0"]
+class TestNoEngineHook:
+    def test_src_never_reads_repro_sanitize(self):
+        """The sanitizer is a CLI, not an environment switch: no module
+        under ``src/`` consults ``REPRO_SANITIZE``."""
+        readers = [
+            path.relative_to(REPO_ROOT).as_posix()
+            for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+            if "REPRO_SANITIZE" in path.read_text(encoding="utf-8")
+        ]
+        assert readers == []
 
 
 class TestExecutorMatrix:
     def test_clean_on_tiny_plant(self):
-        findings = executor_matrix(
-            lambda: _tiny_plant(), executors=("serial", "thread")
-        )
+        # default matrix: serial vs process
+        findings = executor_matrix(lambda: _tiny_plant())
         assert findings == []
 
     def test_canonical_bytes_deterministic_and_stats_free(self):
@@ -282,8 +198,7 @@ class TestSanitizeCli:
         save_plant(_tiny_plant(), plant)
         monkeypatch.chdir(tmp_path)  # no lint-baseline.json here
         code = main(
-            ["sanitize", "--plant", str(plant), "--executor", "thread",
-             "--skip-replay", "--skip-matrix"]
+            ["sanitize", "--plant", str(plant), "--skip-replay", "--skip-matrix"]
         )
         out = capsys.readouterr().out
         assert code == 0

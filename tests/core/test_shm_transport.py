@@ -152,12 +152,11 @@ class TestPipelineTransport:
         # plant's trace payloads alone exceed 100 kB)
         assert es.bytes_pickled > 100_000
 
-    def test_serial_and_thread_do_not_touch_shm(self):
-        for executor in ("serial", "thread"):
-            ctx, __ = _run(_plant(3), executor=executor, max_workers=2)
-            es = ctx.context.engine_stats()
-            assert es.bytes_shared == 0
-            assert es.bytes_pickled == 0
+    def test_serial_does_not_touch_shm(self):
+        ctx, __ = _run(_plant(3), executor="serial")
+        es = ctx.context.engine_stats()
+        assert es.bytes_shared == 0
+        assert es.bytes_pickled == 0
         assert _leaked_segments() == []
 
 

@@ -9,8 +9,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.detectors import has_batch_kernel
+from repro.detectors import get_detector, has_batch_kernel
+from repro.detectors.baselines import MADDetector
 from repro.detectors.registry import BASELINE_ROWS, TABLE1_ROWS
+from repro.plant import chaos  # noqa: F401  (registers the chaos-* wrappers)
 from repro.timeseries import TimeSeries
 
 ALL_ROWS = TABLE1_ROWS + BASELINE_ROWS
@@ -94,6 +96,27 @@ class TestNoSilentDrift:
         registry does not have.
         """
         assert has_batch_kernel(entry.cls) == entry.cls.supports_batch, entry.name
+
+    @pytest.mark.parametrize("name", ["chaos-raise", "chaos-flaky", "chaos-hang"])
+    def test_chaos_wrappers_flag_iff_kernel(self, name):
+        """The chaos wrappers inject faults in ``_fit_matrix``, which MAD's
+        inherited kernel never calls: no kernel, no flag."""
+        cls = get_detector(name).cls
+        assert has_batch_kernel(cls) is False
+        assert cls.supports_batch is False
+
+    def test_matrix_override_below_the_kernel_drops_it(self):
+        class Refit(MADDetector):
+            def _fit_matrix(self, X):
+                super()._fit_matrix(X)
+
+        class Rescore(MADDetector):
+            def _score_matrix(self, X):
+                return super()._score_matrix(X)
+
+        assert has_batch_kernel(MADDetector)
+        assert not has_batch_kernel(Refit)
+        assert not has_batch_kernel(Rescore)
 
     def test_minimum_kernel_coverage(self):
         names = {entry.name for entry in BATCHED}

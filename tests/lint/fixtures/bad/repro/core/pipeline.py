@@ -1,7 +1,5 @@
 """Worker fixtures: every DET10x rule fires where the tests assert."""
 
-import threading
-
 from .tasks import helper_task
 
 _SHARED_CACHE = {}
@@ -13,8 +11,7 @@ def _run_score_task(state, data):
     callbacks = []
     for name in data:
         callbacks.append(lambda: name)
-    lock = threading.Lock()
-    return helper_task(state, callbacks, lock)
+    return helper_task(state, callbacks, None)
 
 
 _TASK_RUNNERS = {

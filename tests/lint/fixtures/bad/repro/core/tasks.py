@@ -3,6 +3,6 @@
 _COUNTS = []
 
 
-def helper_task(state, callbacks, lock):
+def helper_task(state, callbacks, extra):
     _COUNTS.append(len(callbacks))
-    return state, callbacks, lock
+    return state, callbacks, extra

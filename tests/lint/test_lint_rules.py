@@ -37,11 +37,10 @@ EXPECTED_BAD = {
     ("DET004", "bad/repro/util_bad.py", 9),
     ("DET005", "bad/repro/util_bad.py", 32),
     ("DET006", "bad/repro/util_bad.py", 36),
-    ("DET101", "bad/repro/core/pipeline.py", 11),
-    ("DET101", "bad/repro/core/pipeline.py", 12),
+    ("DET101", "bad/repro/core/pipeline.py", 9),
+    ("DET101", "bad/repro/core/pipeline.py", 10),
     ("DET101", "bad/repro/core/tasks.py", 7),
-    ("DET102", "bad/repro/core/pipeline.py", 15),
-    ("DET102", "bad/repro/core/pipeline.py", 16),
+    ("DET102", "bad/repro/core/pipeline.py", 13),
     ("DET103", "bad/repro/plant/simulate.py", 7),
     ("DET104", "bad/repro/util_bad.py", 9),
     ("TEL001", "bad/repro/obs/emit_bad.py", 5),

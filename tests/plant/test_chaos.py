@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.plant import (
     inject_chaos,
     simulate_plant,
 )
+from repro.timeseries import TimeSeries
 
 
 @pytest.fixture(scope="module")
@@ -215,3 +218,64 @@ class TestDetectorWrappers:
         names = {row["detector"] for row in capability_table()}
         assert {"chaos-raise", "chaos-flaky", "chaos-hang"}.isdisjoint(names)
         assert all(e.name != "chaos-raise" for e in TABLE1_ROWS)
+
+
+def _outcome(call):
+    """``(value, error text)`` of one detector call."""
+    try:
+        return call(), None
+    except DetectorError as exc:
+        return None, str(exc)
+
+
+class TestWrappersOnTheBatchPath:
+    """A batched series call injects each wrapper's fault exactly as the
+    scalar ``fit_score_series`` loop does: the wrappers must not inherit
+    MAD's batch kernel, which never reaches their ``_fit_matrix``."""
+
+    @pytest.fixture
+    def series(self, rng):
+        return [
+            TimeSeries(values=rng.normal(size=64).cumsum(), start=0.0, step=1.0)
+            for __ in range(3)
+        ]
+
+    def test_raising_detector_raises(self, series):
+        scalar = _outcome(lambda: [RaisingDetector().fit_score_series(s) for s in series])
+        batch = _outcome(lambda: RaisingDetector().fit_score_series_batch(series))
+        assert batch == scalar == (None, "chaos: injected detector failure")
+
+    @pytest.mark.parametrize("failures", [0, 1, 2, 5])
+    def test_flaky_detector_flakes(self, series, failures):
+        try:
+            FlakyDetector.reset(failures)
+            detector = FlakyDetector()
+            scalar, scalar_error = _outcome(
+                lambda: [detector.fit_score_series(s) for s in series]
+            )
+            scalar_left = FlakyDetector.failures_remaining
+            FlakyDetector.reset(failures)
+            batch, batch_error = _outcome(
+                lambda: FlakyDetector().fit_score_series_batch(series)
+            )
+            assert FlakyDetector.failures_remaining == scalar_left
+        finally:
+            FlakyDetector.reset(0)
+        assert batch_error == scalar_error
+        assert (batch is None) == (failures > 0)
+        if batch is not None:
+            for got, want in zip(batch, scalar):
+                np.testing.assert_array_equal(got, want)
+
+    def test_hanging_detector_waits_per_series(self, series):
+        old_delay = HangingDetector.delay
+        HangingDetector.delay = 0.05
+        try:
+            started = time.perf_counter()
+            batch = HangingDetector().fit_score_series_batch(series)
+            elapsed = time.perf_counter() - started
+        finally:
+            HangingDetector.delay = old_delay
+        assert elapsed >= len(series) * 0.05
+        for got, s in zip(batch, series):
+            np.testing.assert_array_equal(got, make_detector("mad").fit_score_series(s))

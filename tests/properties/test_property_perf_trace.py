@@ -65,7 +65,7 @@ def _run(dataset, executor, **kwargs):
 
 @given(
     seed=st.sampled_from([3, 17]),
-    executor=st.sampled_from(["serial", "thread", "process"]),
+    executor=st.sampled_from(["serial", "process"]),
 )
 @settings(max_examples=6, deadline=None)
 def test_pipeline_exports_are_well_formed(seed, executor):

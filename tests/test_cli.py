@@ -22,6 +22,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["detect", "--start-level", "6"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect", "--batch-scoring"],
+            ["detect", "--executor", "thread"],
+            ["sanitize", "--executor", "thread"],
+        ],
+    )
+    def test_removed_options_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_sanitize_defaults_to_serial(self):
+        assert build_parser().parse_args(["sanitize"]).executor == "serial"
+
 
 class TestCommands:
     @pytest.fixture(scope="class")

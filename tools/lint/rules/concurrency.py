@@ -19,13 +19,12 @@ bugs corrupt determinism from any module (the PR-5 bug lived in
 * **DET101** — module-global mutation inside worker-reachable code:
   ``global`` rebinding, or in-place mutation (method call, subscript or
   augmented store) of a name bound to a container at module top level.
-  Forked workers mutate a *copy*, threads race on the original; either
-  way the result depends on executor choice.
-* **DET102** — unpicklable/late-binding capture inside worker-reachable
-  code: a ``lambda`` or nested ``def`` inside a loop that closes over
-  the loop variable without default-binding it (``lambda name=name:``
-  is the sanctioned idiom), or construction of ``threading`` sync
-  primitives (locks are unpicklable and imply cross-task shared state).
+  Forked workers mutate a *copy* that never reaches the parent, so the
+  result depends on executor choice.
+* **DET102** — late-binding capture inside worker-reachable code: a
+  ``lambda`` or nested ``def`` inside a loop that closes over the loop
+  variable without default-binding it (``lambda name=name:`` is the
+  sanctioned idiom).
 * **DET103** — hash-order-sensitive iteration anywhere in the package:
   a ``for`` statement or comprehension iterating a set expression
   (literal, ``set()``/``frozenset()`` call, set comprehension) whose
@@ -51,17 +50,8 @@ from ..dataflow import MUTATING_METHODS, FunctionInfo, ModuleInfo, ProjectModel,
 __all__ = ["ConcurrencyRule"]
 
 #: Modules exempt from the worker-purity rules: the execution engine
-#: itself (owns the pools and the per-task bookkeeping) and the runtime
-#: sanitizer (its whole job is maintaining cross-task trackers).
-_WORKER_PURITY_EXEMPT = (
-    "repro/core/parallel.py",
-    "repro/sanitize.py",
-)
-
-#: threading primitives whose construction DET102 flags.
-_SYNC_PRIMITIVES = frozenset(
-    {"Lock", "RLock", "Condition", "Event", "Semaphore", "BoundedSemaphore", "Barrier"}
-)
+#: itself (owns the pool and the per-task bookkeeping).
+_WORKER_PURITY_EXEMPT = ("repro/core/parallel.py",)
 
 #: Callables that consume an iterable without exposing element order.
 _ORDER_INSENSITIVE_SINKS = frozenset(
@@ -110,7 +100,7 @@ class ConcurrencyRule(ProjectRule):
                     src,
                     node,
                     f"'global {', '.join(node.names)}' in worker-reachable "
-                    f"{_short(fn.qualname)}: workers fork or race on module state",
+                    f"{_short(fn.qualname)}: forked workers rebind a private copy",
                     hint="return the value and merge in the parent, or thread "
                     "state through the task payload",
                 )
@@ -147,7 +137,7 @@ class ConcurrencyRule(ProjectRule):
             src,
             node,
             f"module-global mutation {what} in worker-reachable "
-            f"{_short(fn.qualname)}: lost in forked workers, racy in threads",
+            f"{_short(fn.qualname)}: lost in forked workers",
             hint="return the value from the task and merge deterministically "
             "in the parent process",
         )
@@ -159,8 +149,6 @@ class ConcurrencyRule(ProjectRule):
     ) -> Iterator[Finding]:
         src = module.src
         for node in ast.walk(fn.node):
-            if isinstance(node, ast.Call):
-                yield from self._check_sync_primitive(node, src, fn)
             loop_targets = _loop_target_names(node)
             if loop_targets is None:
                 continue
@@ -180,27 +168,8 @@ class ConcurrencyRule(ProjectRule):
                             "reference: every closure sees the last iteration",
                             hint="default-bind the loop variable "
                             "(lambda name=name: ...), the idiom "
-                            "pipeline._score_series_resilient uses",
+                            "pipeline._score_resilient uses",
                         )
-
-    def _check_sync_primitive(
-        self, node: ast.Call, src: ParsedFile, fn: FunctionInfo
-    ) -> Iterator[Finding]:
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else ""
-        )
-        if name in _SYNC_PRIMITIVES:
-            yield self._finding(
-                "DET102",
-                src,
-                node,
-                f"threading.{name}() constructed in worker-reachable "
-                f"{_short(fn.qualname)}: unpicklable, and implies state "
-                "shared across tasks",
-                hint="keep synchronization in repro.core.parallel; task "
-                "payloads and results must be plain picklable data",
-            )
 
     # -- DET103 ------------------------------------------------------
 
