@@ -34,14 +34,24 @@ Quickstart::
         print(report.describe())
 """
 
-from . import core, corpus, detectors, eval, monitor, obs, plant, streaming, synthetic, timeseries
-from .core import (
-    HierarchicalDetectionPipeline,
-    HierarchicalOutlierReport,
-    ProductionLevel,
-    find_hierarchical_outliers,
+import importlib
+from typing import Any, List
+
+#: subpackages, imported on first attribute access (PEP 562) so that
+#: ``python -m repro <cmd>`` loads only what the command uses
+_SUBPACKAGES = frozenset(
+    {"core", "corpus", "detectors", "eval", "monitor", "obs", "plant",
+     "streaming", "synthetic", "timeseries"}
 )
-from .plant import PlantConfig, simulate_plant
+#: re-exported name -> subpackage that defines it
+_EXPORTS = {
+    "HierarchicalDetectionPipeline": "core",
+    "HierarchicalOutlierReport": "core",
+    "ProductionLevel": "core",
+    "find_hierarchical_outliers": "core",
+    "PlantConfig": "plant",
+    "simulate_plant": "plant",
+}
 
 __version__ = "1.0.0"
 
@@ -64,3 +74,17 @@ __all__ = [
     "PlantConfig",
     "__version__",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -237,11 +237,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_or_simulate(args) -> "object":
+    """The ``--plant`` archive, or a fresh plant simulated from ``--seed``.
+
+    An archive that is missing or unreadable ends the command with one
+    line on stderr and exit code 2.
+    """
+    import zipfile
+
     from .io import load_plant
     from .plant import PlantConfig, simulate_plant
 
     if getattr(args, "plant", None):
-        return load_plant(args.plant)
+        try:
+            return load_plant(args.plant)
+        except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+            print(f"repro {args.command}: cannot load plant archive {args.plant}: {exc}",
+                  file=sys.stderr)
+            raise SystemExit(2) from None
     return simulate_plant(PlantConfig(seed=args.seed))
 
 
@@ -261,12 +273,12 @@ def _cmd_simulate(args) -> int:
         ),
     )
     dataset = simulate_plant(config)
-    save_plant(dataset, args.out)
+    written = save_plant(dataset, args.out)
     n_jobs = sum(1 for __ in dataset.iter_jobs())
     print(
         f"simulated plant: {args.lines} lines, "
         f"{sum(1 for __ in dataset.iter_machines())} machines, {n_jobs} jobs, "
-        f"{len(dataset.faults)} injected faults -> {args.out}"
+        f"{len(dataset.faults)} injected faults -> {written}"
     )
     for fault in dataset.faults:
         print(f"  {fault.describe()}")

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Mapping
 
-from scipy.stats import chi2
-
 from .levels import ProductionLevel
 
 __all__ = [
@@ -97,6 +95,12 @@ def fuse_fisher(level_scores: Mapping[ProductionLevel, float]) -> float:
     Treats each level as an independent test of "this candidate is normal";
     the combined statistic ``-2 Σ ln p`` is mapped back through the chi²
     survival function so the output is again a [0, 1] outlierness.
+
+    With ``k`` levels the statistic has ``2k`` degrees of freedom, and an
+    even-df chi² tail has the closed form
+    ``sf(x, 2k) = exp(-x/2) · Σ_{i<k} (x/2)^i / i!``.  Every term is
+    positive, so the sum does not cancel; for a tiny statistic the product
+    can round one ulp above 1, hence the clamp at 0.
     """
     scores = _validate(level_scores)
     eps = 1e-12
@@ -104,8 +108,12 @@ def fuse_fisher(level_scores: Mapping[ProductionLevel, float]) -> float:
     for score in scores.values():
         p = min(max(1.0 - score, eps), 1.0)
         stat += -2.0 * math.log(p)
-    combined_p = float(chi2.sf(stat, df=2 * len(scores)))
-    return 1.0 - combined_p
+    half = stat / 2.0
+    term = total = 1.0
+    for i in range(1, len(scores)):
+        term *= half / i
+        total += term
+    return max(0.0, 1.0 - math.exp(-half) * total)
 
 
 FUSION_STRATEGIES: Dict[str, Callable[[Mapping[ProductionLevel, float]], float]] = {

@@ -9,13 +9,15 @@ fused across levels.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Sequence, Union
 
 import numpy as np
-from scipy.stats import norm
 
 #: Anything a unifier accepts: a 1-D array or any sequence of floats.
 ScoreVector = Union[np.ndarray, Sequence[float]]
+
+_SQRT2 = math.sqrt(2.0)
 
 __all__ = ["unify_rank", "unify_gaussian", "unify_minmax", "unify"]
 
@@ -57,6 +59,10 @@ def unify_gaussian(scores: ScoreVector) -> np.ndarray:
     the upper tail close to 1.  Unlike rank unification this preserves
     *magnitude* information: a 10-sigma score maps visibly higher than a
     3-sigma one even when both are the maximum of their batch.
+
+    ``Phi(z) = erfc(-z / sqrt(2)) / 2`` is evaluated per element with
+    :func:`math.erfc` (numpy has no erfc ufunc); through the lower tail
+    this keeps full relative precision where ``1 + erf`` would cancel.
     """
     s = _validate(scores)
     if len(s) == 0:
@@ -67,7 +73,9 @@ def unify_gaussian(scores: ScoreVector) -> np.ndarray:
         std = float(s.std())
         mad = std if std > 1e-12 else 1.0
     z = (s - center) / mad
-    return norm.cdf(z)
+    return np.fromiter(
+        (0.5 * math.erfc(-v / _SQRT2) for v in z.tolist()), dtype=np.float64, count=len(z)
+    )
 
 
 def unify_minmax(scores: ScoreVector) -> np.ndarray:

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..plant import PlantDataset
@@ -57,14 +56,16 @@ class CorrespondenceGraph:
     """Undirected graph whose edges link corresponding sensors.
 
     Node ids are sensor ids (phase-level channels) or environment channel
-    ids of the form ``"<line_id>/env/<kind>"``.
+    ids of the form ``"<line_id>/env/<kind>"``.  The graph is a plain
+    adjacency dict, node -> neighbour -> relation; a node without edges
+    still belongs to the graph.
     """
 
     #: environment kinds considered to correspond to a sensor kind
     CROSS_LEVEL: Dict[str, Tuple[str, ...]] = {"chamber_temp": ("room_temp",)}
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
+        self._adj: Dict[str, Dict[str, str]] = {}
 
     @classmethod
     def from_plant(cls, dataset: PlantDataset) -> "CorrespondenceGraph":
@@ -75,40 +76,37 @@ class CorrespondenceGraph:
                 kind: f"{line.line_id}/env/{kind}" for kind in line.environment
             }
             for node in env_nodes.values():
-                graph._graph.add_node(node, kind="environment")
+                graph._adj.setdefault(node, {})
             for machine in line.machines:
                 for group, channels in machine.redundancy_groups().items():
                     ids = [ch.sensor_id for ch in channels]
                     for sid in ids:
-                        graph._graph.add_node(sid, kind="sensor")
+                        graph._adj.setdefault(sid, {})
                     for i, a in enumerate(ids):
                         for b in ids[i + 1 :]:
-                            graph._graph.add_edge(a, b, relation="redundant")
+                            graph.add_correspondence(a, b, relation="redundant")
                     sensor_kind = channels[0].spec.kind
                     for env_kind in cls.CROSS_LEVEL.get(sensor_kind, ()):
                         env_node = env_nodes.get(env_kind)
                         if env_node is not None:
                             for sid in ids:
-                                graph._graph.add_edge(
+                                graph.add_correspondence(
                                     sid, env_node, relation="cross-level"
                                 )
         return graph
 
     def corresponding(self, sensor_id: str) -> List[str]:
         """All sensors/channels corresponding to the given one."""
-        if sensor_id not in self._graph:
-            return []
-        return sorted(self._graph.neighbors(sensor_id))
+        return sorted(self._adj.get(sensor_id, {}))
 
     def add_correspondence(self, a: str, b: str, relation: str = "manual") -> None:
-        self._graph.add_edge(a, b, relation=relation)
-
-    @property
-    def graph(self) -> nx.Graph:
-        return self._graph
+        """Link ``a`` and ``b``; a repeated edge overwrites its relation and
+        a self-loop lists the node as its own neighbour."""
+        self._adj.setdefault(a, {})[b] = relation
+        self._adj.setdefault(b, {})[a] = relation
 
     def __contains__(self, node: str) -> bool:
-        return node in self._graph
+        return node in self._adj
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,6 @@ representative, so the output is a graded outlierness rather than a flag.
 from __future__ import annotations
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
-from scipy.spatial.distance import pdist
 
 from .._math import batch_pairwise_sq_dists, pairwise_sq_dists
 from ..base import DataShape, Family, VectorDetector
@@ -42,6 +40,11 @@ class SingleLinkageDetector(VectorDetector):
         self.big_cluster_fraction = big_cluster_fraction
 
     def _fit_matrix(self, X: np.ndarray) -> None:
+        # scipy is imported here, not at module level: this detector is
+        # its only user, and a default run never fits it
+        from scipy.cluster.hierarchy import fcluster, linkage
+        from scipy.spatial.distance import pdist
+
         n = X.shape[0]
         if n == 1:
             self._big_points = X.copy()

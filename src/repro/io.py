@@ -2,8 +2,21 @@
 
 A downstream user wants to simulate once and analyze many times, or ship a
 dataset to a colleague.  Plant datasets round-trip through a single
-``.npz`` archive (signal arrays) + embedded JSON manifest (structure,
-setup, CAQ, ground truth); reports export to JSON for dashboards.
+compressed ``.npz`` archive; reports export to JSON for dashboards.
+
+Plant archive format 2 has exactly two members:
+
+* ``__manifest__`` — UTF-8 JSON (uint8 bytes): structure, setup, CAQ,
+  ground truth and, per series, its ``"span": [offset, length]``;
+* ``__values__`` — every series and environment array, concatenated into
+  one 1-D float64 array in manifest order.
+
+:func:`load_plant` decompresses ``__values__`` once and hands each series
+a view of its span; the writer never lets two spans overlap.  One member
+instead of one per series is what makes loading cheap: each npz member
+costs a zip open plus a parse of its npy header.  Format 1 (one member
+per series) is rejected with a :class:`ValueError` — re-save such an
+archive with ``repro simulate`` or :func:`save_plant`.
 """
 
 from __future__ import annotations
@@ -11,7 +24,7 @@ from __future__ import annotations
 import io
 import json
 import pathlib
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -41,7 +54,7 @@ __all__ = [
     "write_atomic",
 ]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 def _fault_to_dict(fault: FaultEvent) -> Dict:
@@ -73,9 +86,21 @@ def _fault_from_dict(d: Dict) -> FaultEvent:
 
 
 def save_plant(dataset: PlantDataset, path) -> pathlib.Path:
-    """Serialize a plant dataset to one ``.npz`` archive."""
+    """Serialize a plant dataset to one ``.npz`` archive (format 2).
+
+    A ``path`` without the ``.npz`` suffix gets it appended; the path
+    actually written is returned.
+    """
     path = pathlib.Path(path)
-    arrays: Dict[str, np.ndarray] = {}
+    chunks: List[np.ndarray] = []
+    n_values = 0
+
+    def span(values: np.ndarray) -> List[int]:
+        nonlocal n_values
+        chunks.append(values)
+        n_values += len(values)
+        return [n_values - len(values), len(values)]
+
     manifest: Dict = {
         "format_version": _FORMAT_VERSION,
         "setup_keys": list(dataset.setup_keys),
@@ -83,16 +108,14 @@ def save_plant(dataset: PlantDataset, path) -> pathlib.Path:
         "faults": [_fault_to_dict(f) for f in dataset.faults],
         "lines": [],
     }
-    for li, line in enumerate(dataset.lines):
+    for line in dataset.lines:
         line_entry: Dict = {"line_id": line.line_id, "machines": [], "environment": []}
         for kind, series in sorted(line.environment.items()):
-            key = f"env/{li}/{kind}"
-            arrays[key] = series.values
             line_entry["environment"].append(
-                {"kind": kind, "key": key, "start": series.start,
+                {"kind": kind, "span": span(series.values), "start": series.start,
                  "step": series.step, "name": series.name, "unit": series.unit}
             )
-        for mi, machine in enumerate(line.machines):
+        for machine in line.machines:
             machine_entry: Dict = {
                 "machine_id": machine.machine_id,
                 "channels": [
@@ -119,7 +142,7 @@ def save_plant(dataset: PlantDataset, path) -> pathlib.Path:
                     },
                     "phases": [],
                 }
-                for pi, phase in enumerate(job.phases):
+                for phase in job.phases:
                     phase_entry: Dict = {
                         "name": phase.name,
                         "start": phase.start,
@@ -128,10 +151,8 @@ def save_plant(dataset: PlantDataset, path) -> pathlib.Path:
                         "series": [],
                     }
                     for sensor_id, series in sorted(phase.series.items()):
-                        key = f"s/{li}/{mi}/{job.job_index}/{pi}/{sensor_id.rsplit('/', 1)[-1]}"
-                        arrays[key] = series.values
                         phase_entry["series"].append(
-                            {"sensor_id": sensor_id, "key": key,
+                            {"sensor_id": sensor_id, "span": span(series.values),
                              "start": series.start, "step": series.step,
                              "unit": series.unit}
                         )
@@ -145,99 +166,133 @@ def save_plant(dataset: PlantDataset, path) -> pathlib.Path:
         manifest["dirty_jobs"] = [
             [machine_id, job_index] for machine_id, job_index in dataset.dirty_jobs()
         ]
-    arrays["__manifest__"] = np.frombuffer(
-        json.dumps(manifest).encode("utf-8"), dtype=np.uint8
-    )
     target = path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
     buffer = io.BytesIO()
-    np.savez_compressed(buffer, **arrays)
+    np.savez_compressed(
+        buffer,
+        __manifest__=np.frombuffer(json.dumps(manifest).encode("utf-8"), dtype=np.uint8),
+        __values__=np.concatenate(chunks) if chunks else np.empty(0),
+    )
     write_atomic(target, buffer.getvalue())
     return target
 
 
-def load_plant(path) -> PlantDataset:
-    """Load a plant dataset saved with :func:`save_plant`."""
-    with np.load(pathlib.Path(path)) as archive:
+def _read_members(path: pathlib.Path) -> Tuple[Dict, np.ndarray]:
+    """The manifest and the value buffer of a format-2 archive, checked."""
+    with np.load(path, allow_pickle=False) as archive:
+        if "__manifest__" not in archive.files:
+            raise ValueError("plant archive has no __manifest__ member")
         manifest = json.loads(bytes(archive["__manifest__"]).decode("utf-8"))
-        if manifest.get("format_version") != _FORMAT_VERSION:
+        version = manifest.get("format_version")
+        if version != _FORMAT_VERSION:
             raise ValueError(
-                f"unsupported plant archive version {manifest.get('format_version')}"
+                f"unsupported plant archive format {version!r} (this version reads "
+                f"format {_FORMAT_VERSION}); re-save it with `repro simulate` or save_plant"
             )
-        lines: List[LineRecord] = []
-        for line_entry in manifest["lines"]:
-            environment = {}
-            for env in line_entry["environment"]:
-                environment[env["kind"]] = TimeSeries(
-                    archive[env["key"]], start=env["start"], step=env["step"],
-                    name=env["name"], unit=env["unit"],
-                )
-            machines: List[MachineRecord] = []
-            for machine_entry in line_entry["machines"]:
-                channels = [
-                    SensorChannel(
-                        sensor_id=c["sensor_id"],
-                        machine_id=machine_entry["machine_id"],
-                        spec=SensorSpec(
-                            kind=c["kind"], unit=c["unit"],
-                            redundancy_group=c["redundancy_group"],
-                            noise_sigma=c["noise_sigma"], step=c["step"],
-                        ),
-                    )
-                    for c in machine_entry["channels"]
-                ]
-                machine = MachineRecord(
+        if "__values__" not in archive.files:
+            raise ValueError("plant archive has no __values__ member")
+        values = archive["__values__"]
+    if values.ndim != 1 or values.dtype != np.float64:
+        raise ValueError(
+            f"plant archive __values__ must be 1-D float64, got "
+            f"{values.ndim}-D {values.dtype}"
+        )
+    return manifest, values
+
+
+def load_plant(path) -> PlantDataset:
+    """Load a plant dataset saved with :func:`save_plant`.
+
+    Raises :class:`ValueError` for an archive that is not format 2, lacks
+    a member, or whose manifest points outside ``__values__``.
+    """
+    manifest, values = _read_members(pathlib.Path(path))
+
+    def take(entry: Dict) -> np.ndarray:
+        # a slice past the end silently comes back short, so check here
+        offset, length = entry["span"]
+        if offset < 0 or length < 0 or offset + length > len(values):
+            raise ValueError(
+                f"plant archive span {entry['span']} is not within __values__ "
+                f"of length {len(values)}"
+            )
+        return values[offset : offset + length]
+
+    lines: List[LineRecord] = []
+    for line_entry in manifest["lines"]:
+        environment = {}
+        for env in line_entry["environment"]:
+            environment[env["kind"]] = TimeSeries(
+                take(env), start=env["start"], step=env["step"],
+                name=env["name"], unit=env["unit"],
+            )
+        machines: List[MachineRecord] = []
+        for machine_entry in line_entry["machines"]:
+            channels = [
+                SensorChannel(
+                    sensor_id=c["sensor_id"],
                     machine_id=machine_entry["machine_id"],
-                    line_id=line_entry["line_id"],
-                    channels=channels,
+                    spec=SensorSpec(
+                        kind=c["kind"], unit=c["unit"],
+                        redundancy_group=c["redundancy_group"],
+                        noise_sigma=c["noise_sigma"], step=c["step"],
+                    ),
                 )
-                for job_entry in machine_entry["jobs"]:
-                    phases: List[PhaseRecord] = []
-                    for phase_entry in job_entry["phases"]:
-                        series = {
-                            s["sensor_id"]: TimeSeries(
-                                archive[s["key"]], start=s["start"],
-                                step=s["step"], name=s["sensor_id"],
-                                unit=s["unit"],
-                            )
-                            for s in phase_entry["series"]
-                        }
-                        phases.append(
-                            PhaseRecord(
-                                name=phase_entry["name"],
-                                job_index=job_entry["job_index"],
-                                machine_id=machine.machine_id,
-                                start=phase_entry["start"],
-                                series=series,
-                                events=DiscreteSequence(
-                                    tuple(phase_entry["events"]),
-                                    alphabet=tuple(phase_entry["event_alphabet"]),
-                                ),
-                            )
+                for c in machine_entry["channels"]
+            ]
+            machine = MachineRecord(
+                machine_id=machine_entry["machine_id"],
+                line_id=line_entry["line_id"],
+                channels=channels,
+            )
+            for job_entry in machine_entry["jobs"]:
+                phases: List[PhaseRecord] = []
+                for phase_entry in job_entry["phases"]:
+                    series = {
+                        s["sensor_id"]: TimeSeries(
+                            take(s), start=s["start"],
+                            step=s["step"], name=s["sensor_id"],
+                            unit=s["unit"],
                         )
-                    machine.jobs.append(
-                        JobRecord(
+                        for s in phase_entry["series"]
+                    }
+                    phases.append(
+                        PhaseRecord(
+                            name=phase_entry["name"],
                             job_index=job_entry["job_index"],
                             machine_id=machine.machine_id,
-                            start=job_entry["start"],
-                            setup=dict(job_entry["setup"]),
-                            phases=phases,
-                            caq=CAQResult(
-                                measurements=dict(job_entry["caq"]["measurements"]),
-                                passed=job_entry["caq"]["passed"],
+                            start=phase_entry["start"],
+                            series=series,
+                            events=DiscreteSequence(
+                                tuple(phase_entry["events"]),
+                                alphabet=tuple(phase_entry["event_alphabet"]),
                             ),
                         )
                     )
-                machines.append(machine)
-            lines.append(LineRecord(line_entry["line_id"], machines, environment))
-        dataset = PlantDataset(
-            lines=lines,
-            faults=[_fault_from_dict(f) for f in manifest["faults"]],
-            setup_keys=tuple(manifest["setup_keys"]),
-            caq_keys=tuple(manifest["caq_keys"]),
-        )
-        for machine_id, job_index in manifest.get("dirty_jobs", []):
-            dataset._dirty_jobs.append((machine_id, int(job_index)))
-        return dataset
+                machine.jobs.append(
+                    JobRecord(
+                        job_index=job_entry["job_index"],
+                        machine_id=machine.machine_id,
+                        start=job_entry["start"],
+                        setup=dict(job_entry["setup"]),
+                        phases=phases,
+                        caq=CAQResult(
+                            measurements=dict(job_entry["caq"]["measurements"]),
+                            passed=job_entry["caq"]["passed"],
+                        ),
+                    )
+                )
+            machines.append(machine)
+        lines.append(LineRecord(line_entry["line_id"], machines, environment))
+    dataset = PlantDataset(
+        lines=lines,
+        faults=[_fault_from_dict(f) for f in manifest["faults"]],
+        setup_keys=tuple(manifest["setup_keys"]),
+        caq_keys=tuple(manifest["caq_keys"]),
+    )
+    for machine_id, job_index in manifest.get("dirty_jobs", []):
+        dataset._dirty_jobs.append((machine_id, int(job_index)))
+    return dataset
 
 
 def reports_to_rows(reports: List[HierarchicalOutlierReport]) -> List[Dict]:

@@ -8,10 +8,10 @@ a small alphabet using Gaussian-equiprobable breakpoints.
 
 from __future__ import annotations
 
+from statistics import NormalDist
 from typing import Tuple
 
 import numpy as np
-from scipy.stats import norm
 
 from .sequence import DiscreteSequence
 from .series import TimeSeries
@@ -74,8 +74,8 @@ def gaussian_breakpoints(alphabet_size: int) -> np.ndarray:
         raise ValueError(
             f"alphabet_size must be in [2, {len(SAX_ALPHABET)}], got {alphabet_size}"
         )
-    qs = np.arange(1, alphabet_size) / alphabet_size
-    return norm.ppf(qs)
+    inv_cdf = NormalDist().inv_cdf
+    return np.array([inv_cdf(i / alphabet_size) for i in range(1, alphabet_size)])
 
 
 def sax_word(series, word_length: int, alphabet_size: int = 4) -> str:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -106,6 +109,32 @@ class TestFisher:
     def test_handles_extreme_scores(self):
         out = fuse_fisher({L.PHASE: 1.0, L.JOB: 0.0})
         assert 0.0 <= out <= 1.0
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_scipy_chi2_sf(self, k):
+        # scipy.stats is the reference only; fuse_fisher uses the even-df
+        # closed form.  Per-level p-values run log-uniformly from 1 down
+        # to the 1e-12 floor, so the statistic covers [0, min(300, 55.3 k)].
+        from scipy.stats import chi2
+
+        rng = np.random.default_rng(k)
+        levels = list(L)[:k]
+        p_values = np.concatenate([
+            np.ones((1, k)),
+            10.0 ** -rng.uniform(0.0, 12.0, size=(400, k)),
+            10.0 ** -rng.uniform(0.0, 1e-6, size=(50, k)),
+            np.full((1, k), 1e-12),
+        ])
+        got, stats = [], []
+        for row in p_values:
+            scores = {level: 1.0 - float(p) for level, p in zip(levels, row)}
+            got.append(fuse_fisher(scores))
+            stats.append(sum(-2.0 * math.log(min(max(1.0 - v, 1e-12), 1.0))
+                             for v in scores.values()))
+        stats = np.array(stats)
+        assert stats.min() == 0.0 and stats.max() >= min(300.0, 55.0 * k)
+        assert all(0.0 <= g <= 1.0 for g in got)
+        np.testing.assert_allclose(got, 1.0 - chi2.sf(stats, 2 * k), rtol=1e-12, atol=1e-15)
 
 
 class TestMonotonicity:

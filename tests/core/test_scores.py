@@ -58,6 +58,31 @@ class TestGaussian:
         out = unify_gaussian(np.full(10, 3.0))
         assert np.allclose(out, 0.5)
 
+    @pytest.mark.parametrize(
+        "seed,loc,scale", [(0, 0.0, 1.0), (1, 5.0, 0.01), (2, -3.0, 250.0), (3, 1e3, 2.5)]
+    )
+    def test_matches_scipy_norm_cdf_into_the_tails(self, seed, loc, scale):
+        # scipy.stats is the reference only; the unifier uses math.erfc
+        from scipy.stats import norm
+
+        rng = np.random.default_rng(seed)
+        bulk = rng.normal(loc, scale, 400)
+        tails = loc + scale * rng.uniform(-30.0, 30.0, 20)
+        s = np.concatenate([bulk, tails, [loc - 50.0 * scale, loc + 50.0 * scale]])
+
+        def robust_z(s):
+            center = np.median(s)
+            return (s - center) / (np.median(np.abs(s - center)) * 1.4826)
+
+        # the two extremes move to z = -37 / +37; they stay the extremes,
+        # so the median and the MAD (order statistics) do not move
+        z = robust_z(s)
+        mad = (s[-1] - np.median(s)) / z[-1]
+        s[-2:] = np.median(s) - 37.0 * mad, np.median(s) + 37.0 * mad
+        z = robust_z(s)
+        assert np.abs(z).max() == pytest.approx(37.0)
+        np.testing.assert_allclose(unify_gaussian(s), norm.cdf(z), rtol=1e-12, atol=1e-15)
+
 
 class TestMinmax:
     def test_range(self):

@@ -38,6 +38,7 @@ class TestGraphFromPlant:
         bed = next(ch.sensor_id for ch in machine.channels if ch.kind == "bed_temp")
         # bed_temp has no redundant twin and no cross-level mapping
         assert graph.corresponding(bed) == []
+        assert bed in graph  # an isolated node still belongs to the graph
 
     def test_no_cross_machine_edges(self, small_plant):
         graph = CorrespondenceGraph.from_plant(small_plant)
@@ -55,6 +56,16 @@ class TestGraphFromPlant:
         graph = CorrespondenceGraph()
         graph.add_correspondence("a", "b")
         assert graph.corresponding("a") == ["b"]
+
+    def test_self_loop_and_repeated_edge(self):
+        # the semantics of the networkx graph this adjacency dict replaced
+        graph = CorrespondenceGraph()
+        graph.add_correspondence("a", "a")
+        graph.add_correspondence("a", "b", relation="redundant")
+        graph.add_correspondence("b", "a")
+        assert graph.corresponding("a") == ["a", "b"]
+        assert graph.corresponding("b") == ["a"]
+        assert "a" in graph and "c" not in graph
 
 
 def _make_calculator(traces, tolerance=5.0):

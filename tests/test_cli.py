@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -172,3 +177,43 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "anomaly detection" in out
         assert "fault detection" in out
+
+
+class TestPlantArchivePaths:
+    def test_simulate_prints_the_path_it_wrote(self, tmp_path, capsys):
+        rc = main([
+            "simulate", "--seed", "3", "--lines", "1", "--machines", "1",
+            "--jobs", "2", "--out", str(tmp_path / "plant"),
+        ])
+        assert rc == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        printed = Path(header.rsplit(" -> ", 1)[1])
+        assert printed == tmp_path / "plant.npz"
+        assert printed.exists()
+
+    @staticmethod
+    def _detect(plant):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        return subprocess.run(
+            [sys.executable, "-m", "repro", "detect", "--plant", str(plant)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_missing_archive_is_one_line_exit_2(self, tmp_path):
+        missing = tmp_path / "nope.npz"
+        proc = self._detect(missing)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith(f"repro detect: cannot load plant archive {missing}: ")
+
+    def test_format_1_archive_is_one_line_exit_2(self, tmp_path):
+        path = tmp_path / "v1.npz"
+        manifest = {"format_version": 1, "lines": []}
+        np.savez(path, __manifest__=np.frombuffer(json.dumps(manifest).encode(), np.uint8),
+                 **{"s/0/0/0/0/x": np.zeros(3)})
+        proc = self._detect(path)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert "format 1" in proc.stderr and "repro simulate" in proc.stderr

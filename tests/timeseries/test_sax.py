@@ -51,6 +51,16 @@ class TestBreakpoints:
         assert np.all(np.diff(bp) > 0)
         assert len(bp) == 5
 
+    @pytest.mark.parametrize("alphabet_size", range(2, 21))
+    def test_matches_scipy_norm_ppf(self, alphabet_size):
+        # scipy.stats is the reference only; the breakpoints use NormalDist
+        from scipy.stats import norm
+
+        ref = norm.ppf(np.arange(1, alphabet_size) / alphabet_size)
+        np.testing.assert_allclose(
+            gaussian_breakpoints(alphabet_size), ref, rtol=1e-12, atol=1e-15
+        )
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             gaussian_breakpoints(1)
