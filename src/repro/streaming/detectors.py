@@ -12,19 +12,40 @@ batch phase-level detectors:
   changes);
 * :class:`OnlineARDetector` — AR(p) one-step residual with recursive
   least squares (the streaming autoregressive model of Table-1 row 20).
+
+The stream monitor advances its detectors through :func:`_update_many`,
+which gives the scores and state of per-sample ``update`` calls bit for
+bit, but steps ``OnlineARDetector`` channels in lockstep through one
+stacked RLS kernel.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque
+from typing import Deque, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .online_stats import EWStats, RunningStats
 
-__all__ = ["OnlineZScore", "OnlineEWMA", "CusumDetector", "OnlineARDetector"]
+__all__ = [
+    "OnlineZScore",
+    "OnlineEWMA",
+    "CusumDetector",
+    "OnlineARDetector",
+]
+
+#: Fewest active channels for lockstep RLS steps.  In the monitor's blocks
+#: stacking wins from 2 channels (measured table: docs/PERFORMANCE.md,
+#: "Streaming"); a lone channel, as in one-sample ``observe``, keeps
+#: per-sample ``OnlineARDetector.update``.
+LOCKSTEP_MIN_CHANNELS = 2
+
+#: Value types whose float64 conversion is what ``update``'s arithmetic
+#: sees.  ``update`` computes an ``np.float32`` sample's residual in
+#: float32 (NEP 50), so a channel with any other type skips the kernel.
+_EXACT_TYPES = frozenset((float, int, np.float64))
 
 
 class OnlineZScore:
@@ -91,8 +112,8 @@ class CusumDetector:
     """
 
     def __init__(self, drift: float = 1.5, warmup: int = 20) -> None:
-        if drift < 0:
-            raise ValueError("drift must be >= 0")
+        if not (math.isfinite(drift) and drift >= 0):
+            raise ValueError("drift must be finite and >= 0")
         if warmup < 2:
             raise ValueError("warmup must be >= 2")
         self.drift = drift
@@ -145,6 +166,8 @@ class OnlineARDetector:
             raise ValueError("lam must be in (0.8, 1]")
         if warmup < order + 2:
             raise ValueError("warmup must exceed order + 2")
+        if not (math.isfinite(delta) and delta > 0):
+            raise ValueError("delta must be finite and positive")
         self.order = order
         self.lam = lam
         self.warmup = warmup
@@ -182,3 +205,162 @@ class OnlineARDetector:
         self._history.append(x)
         self._seen += 1
         return score
+
+
+def _update_many(
+    detectors: Sequence[object], values: Sequence[Sequence[float]]
+) -> List[List[float]]:
+    """Feed each of distinct ``detectors`` its own values; one list of
+    scores per detector.
+
+    Gives the scores and final state of
+    ``[[d.update(x) for x in v] for d, v in zip(detectors, values)]`` bit
+    for bit (``int`` values below 2**63).  ``OnlineARDetector`` instances
+    that share ``(order, lam, warmup, residual alpha)`` advance in lockstep
+    through one stacked RLS kernel; every other detector runs its own
+    ``update``.
+    """
+    if len(detectors) == 1:  # nothing to stack: one-sample observe()
+        return [list(map(detectors[0].update, values[0]))]  # type: ignore[attr-defined]
+    scores: List[List[float]] = [[] for _ in detectors]
+    groups: Dict[Tuple[int, float, int, float], List[Tuple[int, OnlineARDetector]]] = {}
+    for i, det in enumerate(detectors):
+        if type(det) is OnlineARDetector:
+            key = (det.order, det.lam, det.warmup, det._residual_stats.alpha)
+            groups.setdefault(key, []).append((i, det))
+        else:
+            scores[i] = list(map(det.update, values[i]))  # type: ignore[attr-defined]
+    for members in groups.values():
+        group_scores = _ar_lockstep(
+            [det for _, det in members], [values[i] for i, _ in members]
+        )
+        for (i, _), sc in zip(members, group_scores):
+            scores[i] = sc
+    return scores
+
+
+def _ar_lockstep(
+    dets: List[OnlineARDetector], values: List[Sequence[float]]
+) -> List[List[float]]:
+    """``update`` over each detector's values, RLS steps stacked across them.
+
+    All detectors share ``(order, lam, warmup, residual alpha)``.  The
+    kernel must reproduce ``update`` bit for bit, and numpy's ``@`` on
+    these shapes calls BLAS ``ddot``/``dgemv``, whose rounding no scalar
+    rewrite reproduces.  So every reduction is a stacked ``np.matmul`` on
+    C-contiguous arrays (one BLAS call per channel, the same routine as
+    ``update``), and every elementwise step keeps ``update``'s association
+    order.  Channels are sorted by length, so those still active at step k
+    are a prefix; once fewer than :data:`LOCKSTEP_MIN_CHANNELS` remain,
+    each finishes on ``update``.
+    """
+    head = dets[0]
+    p, lam, warmup = head.order, head.lam, head.warmup
+    converge_at = max(p + 5, warmup // 2)
+    heads: List[List[float]] = []  # scores of samples fed to update up front
+    rests: List[Sequence[float]] = []  # finite samples the kernel advances
+    for det, vals in zip(dets, values):
+        if not _EXACT_TYPES.issuperset(map(type, vals)):  # e.g. np.float32
+            heads.append(list(map(det.update, vals)))
+            rests.append(())
+            continue
+        finite = vals if all(map(math.isfinite, vals)) else [
+            x for x in vals if math.isfinite(x)
+        ]
+        det.n_skipped += len(vals) - len(finite)
+        # until its history is full a channel has no regressor: plain update
+        fill = p - len(det._history)
+        heads.append([det.update(x) for x in finite[:fill]])
+        rests.append(finite[fill:] if fill > 0 else finite)
+    by_length = sorted(range(len(dets)), key=lambda i: -len(rests[i]))
+    lengths = [len(rests[i]) for i in by_length]
+    steps = (  # steps with >= LOCKSTEP_MIN_CHANNELS channels active
+        lengths[LOCKSTEP_MIN_CHANNELS - 1] if len(lengths) >= LOCKSTEP_MIN_CHANNELS else 0
+    )
+    tails: List[List[float]] = [[] for _ in dets]
+    if steps:
+        lanes = sum(1 for n in lengths if n)
+        active = []  # channels still active at each step: a prefix of lanes
+        a = lanes
+        for k in range(steps):
+            while lengths[a - 1] <= k:
+                a -= 1
+            active.append(a)
+        lane_dets = [dets[i] for i in by_length[:lanes]]
+        p1 = p + 1
+        theta = np.stack([d._theta for d in lane_dets]).reshape(lanes, 1, p1)
+        P = np.stack([d._P for d in lane_dets])
+        # series[t, lane]: the history, then the stepped samples, oldest
+        # first; zero past a lane's end
+        rows = []
+        for lane, i in enumerate(by_length[:lanes]):
+            row = [*dets[i]._history, *rests[i][:steps]]
+            rows.append(row + [0.0] * (p + steps - len(row)))
+        series = np.array(rows, dtype=float).T
+        # phi[k, lane] = (x[k-1], ..., x[k-p], 1): most recent first, as update
+        phi = np.empty((steps, lanes, p1))
+        for j in range(p):
+            phi[:, :, j] = series[p - 1 - j:p - 1 - j + steps]
+        phi[:, :, p] = 1.0
+        xs = np.ascontiguousarray(series[p:]).reshape(steps, lanes, 1, 1)
+        preds = np.empty((steps, lanes, 1, 1))
+        for k in range(steps):
+            a = active[k]
+            th, Pk = theta[:a], P[:a]
+            col = phi[k, :a].reshape(a, p1, 1)
+            pred = np.matmul(th, col, out=preds[k, :a])
+            Pphi = np.matmul(Pk, col)
+            gain = Pphi / (lam + np.matmul(col.reshape(a, 1, p1), Pphi))
+            residual = xs[k, :a] - pred
+            np.add(th, gain.reshape(a, 1, p1) * residual, out=th)
+            outer = gain * Pphi.reshape(a, 1, p1)
+            np.divide(np.subtract(Pk, outer, out=outer), lam, out=Pk)
+        for lane, i in enumerate(by_length[:lanes]):
+            det = dets[i]
+            n = min(lengths[lane], steps)
+            stepped = rests[i][:n]
+            # astype keeps each array's dtype instance, as update's ufuncs
+            # do: an unpickled float64 dtype is a distinct object, and
+            # pickle memoizes dtypes by identity
+            det._theta = theta[lane, 0].astype(det._theta.dtype)
+            det._P = P[lane].astype(det._P.dtype)
+            tails[i] = _ar_score_residuals(
+                det, stepped, preds[:n, lane, 0, 0].tolist(), warmup, converge_at
+            )
+            det._history.extend(stepped)
+            rests[i] = rests[i][n:]
+    out = []
+    for det, vals, head_scores, tail, rest in zip(dets, values, heads, tails, rests):
+        scores = head_scores + tail + [det.update(x) for x in rest]
+        if len(scores) != len(vals):  # non-finite samples score 0.0
+            it = iter(scores)
+            scores = [next(it) if math.isfinite(x) else 0.0 for x in vals]
+        out.append(scores)
+    return out
+
+
+def _ar_score_residuals(
+    det: OnlineARDetector,
+    xs: Sequence[float],
+    preds: List[float],
+    warmup: int,
+    converge_at: int,
+) -> List[float]:
+    """The scoring tail of ``OnlineARDetector.update`` for precomputed
+    predictions: the same expressions on the same Python floats."""
+    stats = det._residual_stats
+    seen = det._seen
+    scores = []
+    for x, prediction in zip(xs, preds):
+        residual = x - prediction
+        score = 0.0
+        if seen >= warmup:
+            scale = stats.std
+            floor = 1e-9 * max(1.0, abs(stats.mean))
+            score = abs(residual) / scale if scale > floor else 0.0
+        if seen >= converge_at and score < 4.0:
+            stats.update(residual)
+        seen += 1
+        scores.append(score)
+    det._seen = seen
+    return scores

@@ -17,7 +17,7 @@ from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence
 
 from ..core.support import CorrespondenceGraph
 from ..obs import Telemetry
-from .detectors import OnlineARDetector
+from .detectors import OnlineARDetector, _update_many
 
 __all__ = ["StreamEvent", "StreamingSensorMonitor"]
 
@@ -64,7 +64,8 @@ class StreamingSensorMonitor:
         cross-level edges), as in the batch pipeline.
     detector_factory:
         Zero-argument callable building one online detector per channel
-        (default: :class:`OnlineARDetector`).
+        (default: :class:`OnlineARDetector`); every call must return a new
+        detector.
     threshold:
         Score at which a sample is flagged.
     tolerance:
@@ -92,12 +93,16 @@ class StreamingSensorMonitor:
         heartbeat_patience: Optional[float] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
-        if threshold <= 0:
-            raise ValueError("threshold must be positive")
-        if tolerance < 0:
-            raise ValueError("tolerance must be >= 0")
-        if heartbeat_patience is not None and heartbeat_patience <= 0:
-            raise ValueError("heartbeat_patience must be positive")
+        # a NaN compares False with everything: it would never flag, never
+        # trim the flag deques, or never stall a channel
+        if not (math.isfinite(threshold) and threshold > 0):
+            raise ValueError("threshold must be finite and positive")
+        if not (math.isfinite(tolerance) and tolerance >= 0):
+            raise ValueError("tolerance must be finite and >= 0")
+        if heartbeat_patience is not None and not (
+            math.isfinite(heartbeat_patience) and heartbeat_patience > 0
+        ):
+            raise ValueError("heartbeat_patience must be finite and positive")
         self._graph = graph
         self._factory = detector_factory or OnlineARDetector
         self.threshold = threshold
@@ -132,13 +137,6 @@ class StreamingSensorMonitor:
         )
 
     # ------------------------------------------------------------------
-    def _channel(self, channel_id: str) -> _Channel:
-        state = self._channels.get(channel_id)
-        if state is None:
-            state = _Channel(detector=self._factory(), threshold=self.threshold)
-            self._channels[channel_id] = state
-        return state
-
     def observe(self, channel_id: str, time: float, value: float) -> Optional[StreamEvent]:
         """Process one sample; returns the event if the sample is flagged.
 
@@ -147,80 +145,122 @@ class StreamingSensorMonitor:
         channel that sends only garbage eventually stalls out of the
         support divisor.
         """
-        created = channel_id not in self._channels
-        state = self._channel(channel_id)
-        self._now = max(self._now, time)
-        self._m_samples.inc()
-        if not math.isfinite(value):
-            state.n_skipped += 1
-            self._m_skipped.inc()
-            if created and self.heartbeat_patience is not None:
-                # a channel born of garbage has last_seen=-inf: it must be
-                # eligible for the very next stall sweep
-                self._stall_due = min(
-                    self._stall_due, state.last_seen + self.heartbeat_patience
-                )
-            self._trim(state, time)
-            self._check_stalls()
-            return None
-        state.last_seen = max(state.last_seen, time)
-        recovered = channel_id in self._reported_stalled
-        if recovered:
-            self._reported_stalled.discard(channel_id)  # heartbeat recovered
-        if (created or recovered) and self.heartbeat_patience is not None:
-            # (re-)entering the unreported set may pull the earliest
-            # deadline forward; existing channels only ever push it back
-            self._stall_due = min(
-                self._stall_due, state.last_seen + self.heartbeat_patience
-            )
-        score = state.detector.update(value)
-        flagged = score >= state.threshold
-        if flagged:
-            state.recent_flags.append(time)
-        self._trim(state, time)
-        self._check_stalls()
-        if not flagged:
-            return None
-        support, n_corr = self._support(channel_id, time)
-        event = StreamEvent(
-            channel_id=channel_id,
-            time=time,
-            value=value,
-            score=score,
-            support=support,
-            n_corresponding=n_corr,
-        )
-        self._events.append(event)
-        self._m_events.inc()
-        return event
+        events = self._observe([(channel_id, time, value)])
+        return events[0] if events else None
 
     def observe_block(self, samples: Sequence[tuple]) -> List[StreamEvent]:
-        """Convenience: feed (channel, time, value) triples in order."""
-        events = []
+        """Feed (channel, time, value) triples in order; returns the events.
+
+        Same events, counters, stall warnings and state as calling
+        :meth:`observe` on each sample in turn.
+        """
         with self.telemetry.tracer.span(
             "stream.observe_block", n_samples=len(samples)
         ) as sp:
-            for channel_id, time, value in samples:
-                event = self.observe(channel_id, time, value)
-                if event is not None:
-                    events.append(event)
+            events = self._observe(samples)
             sp.set(n_events=len(events))
+        return events
+
+    def _observe(self, samples: Sequence[tuple]) -> List[StreamEvent]:
+        """Score every channel's samples, then replay the bookkeeping.
+
+        Channels are independent until the support lookup, so each one's
+        detector first advances over its finite samples in one
+        :func:`~repro.streaming.detectors._update_many` call.  A second pass
+        in arrival order then does the per-sample clock, heartbeat, flag,
+        stall and support work with those scores.
+        """
+        channels = self._channels
+        born: Dict[str, _Channel] = {}  # joins _channels at its first arrival
+        finite: Dict[str, List[float]] = {}
+        detectors: List[object] = []
+        for channel_id, _, value in samples:
+            if channel_id not in channels and channel_id not in born:
+                born[channel_id] = _Channel(
+                    detector=self._factory(), threshold=self.threshold
+                )
+            if math.isfinite(value):
+                values = finite.get(channel_id)
+                if values is None:
+                    finite[channel_id] = values = []
+                    detectors.append((channels.get(channel_id) or born[channel_id]).detector)
+                values.append(value)
+        scores = dict(zip(finite, map(iter, _update_many(detectors, list(finite.values())))))
+
+        patience = self.heartbeat_patience
+        reported = self._reported_stalled
+        events: List[StreamEvent] = []
+        n_skipped = 0
+        for channel_id, time, value in samples:
+            state = channels.get(channel_id)
+            created = state is None
+            if created:
+                state = channels[channel_id] = born[channel_id]
+            if time > self._now:  # max(now, time) without the call
+                self._now = time
+            if not math.isfinite(value):
+                state.n_skipped += 1
+                n_skipped += 1
+                if created and patience is not None:
+                    # a channel born of garbage has last_seen=-inf: it must
+                    # be eligible for the very next stall sweep
+                    self._stall_due = min(self._stall_due, state.last_seen + patience)
+                if state.recent_flags:
+                    self._trim(state, time)
+                if self._now > self._stall_due:
+                    self._check_stalls()
+                continue
+            if time > state.last_seen:
+                state.last_seen = time
+            recovered = channel_id in reported
+            if recovered:
+                reported.discard(channel_id)  # heartbeat recovered
+            if (created or recovered) and patience is not None:
+                # (re-)entering the unreported set may pull the earliest
+                # deadline forward; existing channels only ever push it back
+                self._stall_due = min(self._stall_due, state.last_seen + patience)
+            score = next(scores[channel_id])
+            flagged = score >= state.threshold
+            if flagged:
+                state.recent_flags.append(time)
+            if state.recent_flags:
+                self._trim(state, time)
+            if self._now > self._stall_due:
+                self._check_stalls()
+            if not flagged:
+                continue
+            support, n_corr = self._support(channel_id, time)
+            event = StreamEvent(
+                channel_id=channel_id,
+                time=time,
+                value=value,
+                score=score,
+                support=support,
+                n_corresponding=n_corr,
+            )
+            self._events.append(event)
+            events.append(event)
+        # once per call; a zero increment would still create the series
+        if len(samples):
+            self._m_samples.inc(len(samples))
+        if n_skipped:
+            self._m_skipped.inc(n_skipped)
+        if events:
+            self._m_events.inc(len(events))
         return events
 
     def _check_stalls(self) -> None:
         """Emit one WARNING per channel the moment its heartbeat stalls.
 
-        Amortized O(1) per sample: a full sweep over the channel table only
-        runs once the shared clock passes ``_stall_due`` — the earliest
-        deadline any unreported channel can miss — and each sweep
-        recomputes the bound exactly.  A channel stalls when
+        Amortized O(1) per sample: :meth:`_observe` only calls this sweep
+        over the channel table once the shared clock passes ``_stall_due``
+        — the earliest deadline any unreported channel can miss — and each
+        sweep recomputes the bound exactly.  A channel stalls when
         ``now - last_seen > patience``, i.e. strictly after
         ``last_seen + patience``, so skipping while ``now <= _stall_due``
         never delays a report past the sample that would have raised it.
         """
         if self.heartbeat_patience is None or not self.telemetry.enabled:
-            return
-        if self._now <= self._stall_due:
             return
         due = math.inf
         for channel_id, state in self._channels.items():

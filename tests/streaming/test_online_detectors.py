@@ -77,6 +77,13 @@ class TestCusum:
         with pytest.raises(ValueError):
             CusumDetector(drift=-1.0)
 
+    @pytest.mark.parametrize("drift", [float("nan"), float("inf")])
+    def test_rejects_non_finite_drift(self, drift):
+        # a NaN drift made every chart update max(0.0, nan) = 0.0: the
+        # detector went silent through any level shift
+        with pytest.raises(ValueError, match="drift"):
+            CusumDetector(drift=drift)
+
 
 class TestOnlineAR:
     def test_flags_additive_outlier(self, rng):
@@ -115,3 +122,9 @@ class TestOnlineAR:
             OnlineARDetector(lam=0.5)
         with pytest.raises(ValueError):
             OnlineARDetector(order=5, warmup=3)
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_bad_delta(self, delta):
+        # delta=nan made P all-NaN, so every sample scored 0.0
+        with pytest.raises(ValueError, match="delta"):
+            OnlineARDetector(delta=delta)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import CorrespondenceGraph
@@ -122,3 +121,11 @@ class TestConfig:
             StreamingSensorMonitor(pair_graph(), threshold=0.0)
         with pytest.raises(ValueError):
             StreamingSensorMonitor(pair_graph(), tolerance=-1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("param", ["threshold", "tolerance", "heartbeat_patience"])
+    def test_rejects_non_finite_params(self, param, value):
+        # NaN never flags, never trims or never stalls; an infinite
+        # tolerance never trims the flag deques
+        with pytest.raises(ValueError, match=param):
+            StreamingSensorMonitor(pair_graph(), **{param: value})
