@@ -346,10 +346,15 @@ def _cmd_detect(args) -> int:
         ).inc(profiler.samples)
     engine = pipeline.context.engine_stats()
     if args.executor != "serial" and not args.ingest_tail:
+        speedup = engine.speedup
+        gain = (
+            f"cpu_utilization {engine.cpu_utilization:.2f}"
+            if speedup is None  # no measured serial baseline to divide
+            else f"speedup {speedup:.2f}x"
+        )
         print(
             f"engine: {engine.executor} x{engine.workers} — "
-            f"{engine.n_tasks} tasks, wall {engine.wall_seconds:.2f}s, "
-            f"speedup {engine.speedup:.2f}x"
+            f"{engine.n_tasks} tasks, wall {engine.wall_seconds:.2f}s, {gain}"
         )
     print(f"{len(reports)} hierarchical reports (start level {args.start_level}, "
           f"fusion={args.fusion}); top {min(args.top, len(reports))}:")

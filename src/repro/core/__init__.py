@@ -68,6 +68,7 @@ from .resilience import (
     SandboxOutcome,
     SandboxPolicy,
     assess_series,
+    clean_rows,
     repair_series,
     robust_fallback_scores,
     robust_matrix_scores,
@@ -135,6 +136,7 @@ __all__ = [
     "QualityPolicy",
     "QualityIssue",
     "assess_series",
+    "clean_rows",
     "repair_series",
     "robust_fallback_scores",
     "robust_matrix_scores",

@@ -21,7 +21,8 @@ Design constraints, in order:
   worker sizing, and shutdown discipline live in exactly one file;
 * **measurable** — :class:`EngineStats` records per-task wall latency,
   the maximum number of simultaneously ready tasks (queue depth), and
-  the compute/wall speedup estimate the pipeline folds into metrics.
+  the speedup over a measured serial baseline (None when a parallel run
+  has none) the pipeline folds into metrics.
 
 The worker callable passed to :meth:`ParallelEngine.run` must be a
 module-level function (or a :func:`functools.partial` of one) when the
@@ -197,8 +198,8 @@ class EngineStats:
     task_peak_alloc: Dict[str, int] = field(default_factory=dict)
     #: Measured task time of a same-run serial baseline, when one exists
     #: (the speedup benchmark runs serial first and stamps it onto the
-    #: parallel legs).  Unset, the engine's own summed in-worker task
-    #: seconds serve as the measured serial-equivalent.
+    #: parallel legs).  Unset, a serial run is its own baseline and a
+    #: parallel run has no :attr:`speedup`.
     serial_baseline_seconds: Optional[float] = None
     #: Transport accounting (process executor): payload bytes that crossed
     #: the pickle boundary vs. bytes served via the shared-memory arena,
@@ -214,20 +215,25 @@ class EngineStats:
         return float(sum(self.task_seconds.values()))
 
     @property
-    def speedup(self) -> float:
+    def speedup(self) -> Optional[float]:
         """Measured serial baseline over wall: > 1 under effective parallelism.
 
         One definition everywhere: the baseline is a *measured* serial
-        task time from the same run — ``serial_baseline_seconds`` when a
-        caller recorded one (BENCH_parallel stamps the serial leg's task
-        time onto the parallel legs), else this run's own summed
-        in-worker task seconds.  Never a wall-clock heuristic.
+        task time — ``serial_baseline_seconds`` when a caller stamped one
+        (BENCH_parallel stamps the serial leg's task time onto the
+        parallel legs); a serial run is its own measured baseline.  A
+        parallel run without a stamped baseline has no speedup (None):
+        its summed in-worker task seconds are no serial baseline (workers
+        that share cores each run slower), so dividing them by wall would
+        overstate the gain.
         """
-        if self.wall_seconds <= 0.0:
-            return 0.0
         baseline = getattr(self, "serial_baseline_seconds", None)
         if baseline is None:
+            if self.executor != "serial":
+                return None
             baseline = self.compute_seconds
+        if self.wall_seconds <= 0.0:
+            return 0.0
         return float(baseline) / self.wall_seconds
 
     @property

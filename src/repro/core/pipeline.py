@@ -53,6 +53,7 @@ from .resilience import (
     RunHealth,
     SandboxPolicy,
     assess_series,
+    clean_rows,
     repair_series,
     robust_fallback_scores,
     robust_matrix_scores,
@@ -101,6 +102,27 @@ class PipelineConfig:
     checkpoint_every: int = 1  # snapshot after every Nth refresh()
     checkpoint_retain: int = 3  # snapshot files kept on disk
     perf_alloc: bool = False  # per-task tracemalloc peak capture (slow; opt-in)
+
+    def __post_init__(self) -> None:
+        # each rejected value would switch detection off without a word:
+        # a NaN/inf sigma flags nothing, < 1 candidates per trace report none
+        for name in ("phase_sigma", "env_sigma", "vector_sigma"):
+            sigma = getattr(self, name)
+            if not math.isfinite(sigma) or sigma <= 0:
+                raise ValueError(f"{name} must be finite and > 0, got {sigma}")
+        if not math.isfinite(self.support_tolerance) or self.support_tolerance < 0:
+            raise ValueError(
+                "support_tolerance must be finite and >= 0, "
+                f"got {self.support_tolerance}"
+            )
+        if self.max_candidates_per_trace < 1:
+            raise ValueError(
+                "max_candidates_per_trace must be >= 1, "
+                f"got {self.max_candidates_per_trace}"
+            )
+        for name in ("candidate_gap", "line_history"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -196,6 +218,47 @@ def _robust_threshold(scores: np.ndarray, sigma: float) -> float:
     if mad <= 1e-12:
         mad = float(finite.std()) or 1.0
     return med + sigma * mad
+
+
+def _length_groups(arrays: Sequence[np.ndarray]) -> Dict[int, List[int]]:
+    """Indices of ``arrays`` grouped by length, in first-occurrence order."""
+    groups: Dict[int, List[int]] = {}
+    for i, array in enumerate(arrays):
+        groups.setdefault(len(array), []).append(i)
+    return groups
+
+
+def _robust_thresholds(
+    rows: Sequence[np.ndarray], sigma: float
+) -> Tuple[List[float], List[bool]]:
+    """:func:`_robust_threshold` of every row, plus whether any score of the
+    row reaches its threshold (the rows :func:`_peak_indices` can flag).
+
+    One row-wise median pass per distinct length.  Medians are selections
+    from the same multiset and the rest is elementwise, so every value is
+    bit-identical to the scalar helper; rows with a non-finite score, no
+    samples, or a degenerate MAD take the scalar helper itself.
+    """
+    thresholds = [0.0] * len(rows)
+    reach = [False] * len(rows)
+    for idxs in _length_groups(rows).values():
+        S = np.stack([np.asarray(rows[i], dtype=np.float64) for i in idxs])
+        thr = np.empty(len(idxs))
+        scalar = np.ones(len(idxs), dtype=bool)
+        ok = np.flatnonzero(np.isfinite(S).all(axis=1) & (S.shape[1] > 0))
+        if ok.size:
+            F = S[ok]
+            med = np.median(F, axis=1)
+            mad = np.median(np.abs(F - med[:, None]), axis=1) * 1.4826
+            thr[ok] = med + sigma * mad
+            scalar[ok[mad > 1e-12]] = False
+        for k in np.flatnonzero(scalar):
+            thr[k] = _robust_threshold(S[k], sigma)
+        hit = (S >= thr[:, None]).any(axis=1)
+        for i, t, h in zip(idxs, thr.tolist(), hit.tolist()):
+            thresholds[i] = t
+            reach[i] = h
+    return thresholds, reach
 
 
 def _peak_indices(scores: np.ndarray, threshold: float, gap: int,
@@ -342,6 +405,42 @@ def _gate_series_w(
     return series
 
 
+def _gate_precheck(state: _WorkerState, series_list: Sequence[TimeSeries]) -> List[bool]:
+    """:func:`~repro.core.resilience.clean_rows` of a task's traces, one
+    stacked call per distinct length; records no events."""
+    clean = [False] * len(series_list)
+    if not state.config.gate_enabled:
+        return clean  # _gate_series_w passes every trace through anyway
+    values = [np.asarray(s.values, dtype=float) for s in series_list]
+    for idxs in _length_groups(values).values():
+        flags = clean_rows(np.stack([values[i] for i in idxs]), state.config.quality)
+        for i, flag in zip(idxs, flags.tolist()):
+            clean[i] = flag
+    return clean
+
+
+def _gate_group(
+    state: _WorkerState,
+    items: Sequence[Tuple[str, TimeSeries]],
+    clean: Sequence[bool],
+    scope: str,
+    expected_length: Optional[int] = None,
+) -> List[Tuple[str, TimeSeries]]:
+    """Gate one group of traces: a precheck-clean trace of the expected
+    length is kept as is, every other one takes :func:`_gate_series_w` in
+    its usual position, so events keep their order."""
+    gated: List[Tuple[str, TimeSeries]] = []
+    for (unit_id, series), ok in zip(items, clean):
+        fits = expected_length is None or len(series.values) == expected_length
+        if not (ok and fits):
+            kept = _gate_series_w(state, unit_id, scope, series, expected_length)
+            if kept is None:
+                continue
+            series = kept
+        gated.append((unit_id, series))
+    return gated
+
+
 def _gate_matrix_w(state: _WorkerState, X: np.ndarray, label: str) -> np.ndarray:
     """Impute non-finite cells of a vector-level matrix (column median)."""
     X = np.asarray(X, dtype=float)
@@ -436,9 +535,7 @@ def _score_series_batch(
     detectors with a batch kernel) the model fit itself.  ``units`` label
     each trace in fallback events.  Results come back in trace order.
     """
-    groups: Dict[int, List[int]] = {}
-    for i, (__, series) in enumerate(gated):
-        groups.setdefault(len(series.values), []).append(i)
+    groups = _length_groups([series.values for __, series in gated])
     results: List[Optional[Tuple[np.ndarray, str]]] = [None] * len(gated)
     for idxs in groups.values():
         series_list = [gated[i][1] for i in idxs]
@@ -473,79 +570,83 @@ def _score_matrix_resilient(
 
 
 def _run_phase_task(state: _WorkerState, data: Tuple[object, ...]) -> object:
+    """Score one machine's phase traces.
+
+    Per-trace work is stacked per distinct length: one gate precheck
+    before the group loop and one threshold/peak pass after it.  Gating
+    and scoring stay per (job, phase) group, so events, fallback units and
+    batch groups are those of a trace-by-trace walk.
+    """
     machine_id, jobs = cast(
         Tuple[str, Tuple[Tuple[int, Tuple[Tuple[str, Tuple[Tuple[str, TimeSeries], ...]], ...]], ...]],
         data,
     )
     cfg = state.config
+    clean = _gate_precheck(
+        state,
+        [series for __, phases in jobs for __, items in phases for __, series in items],
+    )
+    offset = 0
     traces: List[Tuple[str, _Trace]] = []
-    candidates: List[OutlierCandidate] = []
+    origins: List[Tuple[int, str, str]] = []  # (job, phase, detector) per trace
     for job_index, phases in jobs:
         for phase_name, items in phases:
-            expected = _modal_expected_length(items)
             scope = f"{machine_id}/job{job_index}/{phase_name}"
-            gated: List[Tuple[str, TimeSeries]] = []
-            for sensor_id, series in items:
-                kept = _gate_series_w(
-                    state, sensor_id, scope, series, expected_length=expected
-                )
-                if kept is not None:
-                    gated.append((sensor_id, kept))
+            gated = _gate_group(
+                state, items, clean[offset : offset + len(items)], scope,
+                _modal_expected_length(items),
+            )
+            offset += len(items)
             scored = _score_series_batch(
                 state, gated, [f"{scope}/{sensor_id}" for sensor_id, __ in gated]
             )
             for (sensor_id, series), (scores, detector_name) in zip(gated, scored):
-                trace = _Trace(
-                    channel_id=sensor_id,
-                    start=series.start,
-                    step=series.step,
-                    scores=scores,
-                    threshold=_robust_threshold(scores, cfg.phase_sigma),
-                )
+                trace = _Trace(sensor_id, series.start, series.step, scores, math.nan)
                 traces.append((sensor_id, trace))
-                for idx in _peak_indices(
-                    scores, trace.threshold, cfg.candidate_gap,
-                    cfg.max_candidates_per_trace,
-                ):
-                    candidates.append(
-                        OutlierCandidate(
-                            level=ProductionLevel.PHASE,
-                            outlierness=float(scores[idx]),
-                            machine_id=machine_id,
-                            job_index=job_index,
-                            phase_name=phase_name,
-                            sensor_id=sensor_id,
-                            index=idx,
-                            detector=detector_name,
-                        )
-                    )
+                origins.append((job_index, phase_name, detector_name))
+    thresholds, reach = _robust_thresholds(
+        [trace.scores for __, trace in traces], cfg.phase_sigma
+    )
+    candidates: List[OutlierCandidate] = []
+    for (sensor_id, trace), (job_index, phase_name, detector_name), threshold, hit in zip(
+        traces, origins, thresholds, reach
+    ):
+        trace.threshold = threshold
+        if not hit:
+            continue  # nothing reaches the threshold: no peaks to find
+        for idx in _peak_indices(
+            trace.scores, threshold, cfg.candidate_gap, cfg.max_candidates_per_trace
+        ):
+            candidates.append(
+                OutlierCandidate(
+                    level=ProductionLevel.PHASE,
+                    outlierness=float(trace.scores[idx]),
+                    machine_id=machine_id,
+                    job_index=job_index,
+                    phase_name=phase_name,
+                    sensor_id=sensor_id,
+                    index=idx,
+                    detector=detector_name,
+                )
+            )
     return traces, candidates
 
 
 def _run_env_task(state: _WorkerState, data: Tuple[object, ...]) -> object:
     line_id, items = cast(Tuple[str, Tuple[Tuple[str, TimeSeries], ...]], data)
     cfg = state.config
-    gated: List[Tuple[str, TimeSeries]] = []
-    for channel_id, series in items:
-        kept = _gate_series_w(state, channel_id, line_id, series)
-        if kept is not None:
-            gated.append((channel_id, kept))
+    gated = _gate_group(
+        state, items, _gate_precheck(state, [series for __, series in items]), line_id
+    )
     scored = _score_series_batch(
         state, gated, [channel_id for channel_id, __ in gated]
     )
-    traces: List[Tuple[str, _Trace]] = []
-    ids: List[str] = []
-    for (channel_id, series), (scores, __) in zip(gated, scored):
-        trace = _Trace(
-            channel_id=channel_id,
-            start=series.start,
-            step=series.step,
-            scores=scores,
-            threshold=_robust_threshold(scores, cfg.env_sigma),
-        )
-        traces.append((channel_id, trace))
-        ids.append(channel_id)
-    return traces, ids
+    thresholds = _robust_thresholds([scores for scores, __ in scored], cfg.env_sigma)[0]
+    traces = [
+        (channel_id, _Trace(channel_id, series.start, series.step, scores, threshold))
+        for (channel_id, series), (scores, __), threshold in zip(gated, scored, thresholds)
+    ]
+    return traces, [channel_id for channel_id, __ in gated]
 
 
 def _run_job_task(state: _WorkerState, data: Tuple[object, ...]) -> object:
@@ -1352,8 +1453,9 @@ class PlantHierarchyContext(HierarchyContext):
             self._m_task_latency.observe_many(latencies[kind], kind=kind)
         self._m_queue_depth.set(float(es.max_queue_depth))
         self._m_parallel_workers.set(float(es.workers), executor=es.executor)
-        if math.isfinite(es.speedup):
-            self._m_parallel_speedup.set(es.speedup)
+        speedup = es.speedup
+        if speedup is not None and math.isfinite(speedup):
+            self._m_parallel_speedup.set(speedup)
         # perf attribution (snapshot-tolerant: pre-perf EngineStats pickles
         # carry neither dict)
         cpu_by_kind: Dict[str, List[float]] = {}
@@ -1450,7 +1552,8 @@ class PlantHierarchyContext(HierarchyContext):
         )
         self._m_parallel_speedup = m.gauge(
             "repro_parallel_speedup",
-            "Compute-seconds over wall-seconds of the scoring task graph.",
+            "Measured serial baseline seconds over wall-seconds of the scoring "
+            "task graph (unset when a parallel run has no baseline).",
         )
         self._m_perf_cpu = m.histogram(
             "repro_perf_task_cpu_seconds",

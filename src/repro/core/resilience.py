@@ -14,7 +14,8 @@ degraded it is**, instead of crashing:
   infrastructure problems (NaN runs, flatlined/stuck sensors, truncated
   traces) into :class:`QualityIssue` records, :func:`repair_series` fixes
   the benign ones (short gap interpolation, ±inf clipping) and fatal ones
-  quarantine the channel;
+  quarantine the channel; :func:`clean_rows` prechecks a same-length stack
+  of traces at once, so only the ones it rejects need the per-trace gate;
 * :class:`RunHealth` — the structured degradation record attached to every
   pipeline run: fallbacks taken, quarantined channels, warnings, per-level
   degradation notes;
@@ -51,6 +52,7 @@ __all__ = [
     "QualityPolicy",
     "QualityIssue",
     "assess_series",
+    "clean_rows",
     "repair_series",
     "robust_fallback_scores",
     "robust_matrix_scores",
@@ -374,6 +376,15 @@ class QualityPolicy:
             raise ValueError("max_nan_fraction must be in (0, 1]")
         if self.min_length < 1 or self.max_nan_run < 1 or self.flatline_run < 2:
             raise ValueError("length thresholds must be positive")
+        # a NaN or negative tolerance makes every `|diff| <= tolerance`
+        # test False: the stuck-sensor check would silently switch off
+        if not math.isfinite(self.flatline_tolerance) or self.flatline_tolerance < 0:
+            raise ValueError(
+                "flatline_tolerance must be finite and >= 0, "
+                f"got {self.flatline_tolerance}"
+            )
+        if self.repair_max_gap < 0:
+            raise ValueError(f"repair_max_gap must be >= 0, got {self.repair_max_gap}")
 
 
 @dataclass(frozen=True)
@@ -483,6 +494,34 @@ def assess_series(
                 )
             )
     return issues
+
+
+def clean_rows(
+    X: np.ndarray, policy: Optional[QualityPolicy] = None
+) -> np.ndarray:
+    """Which traces of a same-length stack the gate passes through untouched.
+
+    True where :func:`assess_series` (without ``expected_length``) finds
+    no issue and :func:`repair_series` would change nothing: every sample
+    is finite and, once the trace is long enough for the stuck-sensor
+    check, no two consecutive samples lie within ``flatline_tolerance``.
+    The test is conservative — a False row need not be faulty, it only
+    has to go through the scalar gate.  Every row is False below
+    ``min_length``.
+    """
+    policy = policy or QualityPolicy()
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError("clean_rows takes a 2-D stack of same-length traces")
+    if X.shape[1] < policy.min_length:
+        return np.zeros(X.shape[0], dtype=bool)
+    clean = np.isfinite(X).all(axis=1)
+    if X.shape[1] >= policy.flatline_run and clean.any():
+        # only finite rows: a diff across ±inf samples would warn
+        rows = np.flatnonzero(clean)
+        same = np.abs(np.diff(X[rows], axis=1)) <= policy.flatline_tolerance
+        clean[rows] = ~same.any(axis=1)
+    return clean
 
 
 def repair_series(

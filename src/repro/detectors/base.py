@@ -354,6 +354,15 @@ class BaseDetector(abc.ABC):
         return np.nan_to_num(out, nan=0.0, posinf=np.finfo(np.float64).max / 4,
                              neginf=-np.finfo(np.float64).max / 4)
 
+    @staticmethod
+    def _sanitize_rows(scores) -> np.ndarray:
+        """:meth:`_sanitize` of every row of a 2-D batch, in one call."""
+        out = np.asarray(scores, dtype=np.float64)
+        if out.ndim != 2:
+            raise ValueError("batched detector scores must be 2-D")
+        return np.nan_to_num(out, nan=0.0, posinf=np.finfo(np.float64).max / 4,
+                             neginf=-np.finfo(np.float64).max / 4)
+
     # ------------------------------------------------------------------
     # hooks
     # ------------------------------------------------------------------
@@ -483,7 +492,7 @@ class VectorDetector(BaseDetector):
                         point_scores = batch_window_scores_to_point_scores(
                             window_scores, n_points, width, stride
                         )
-                        return [self._sanitize(row) for row in point_scores]
+                        return list(self._sanitize_rows(point_scores))
         return super().fit_score_series_batch(series_list, width=width, stride=stride)
 
 

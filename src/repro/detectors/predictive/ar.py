@@ -107,7 +107,7 @@ class ARDetector(VectorDetector):
                 scores = self._run_hook(
                     "fit_score_series_batch", self._batch_residual_zscores, X, p
                 )
-                return [self._sanitize(row) for row in scores]
+                return list(self._sanitize_rows(scores))
         return super().fit_score_series_batch(series_list, width=width, stride=stride)
 
     @staticmethod

@@ -122,7 +122,8 @@ METRIC_CATALOG: Dict[str, MetricSpec] = {
     "repro_parallel_speedup": MetricSpec(
         kind="gauge",
         labels=(),
-        help="Compute-seconds over wall-seconds of the scoring task graph.",
+        help="Measured serial baseline seconds over wall-seconds of the scoring "
+        "task graph (unset when a parallel run has no baseline).",
     ),
     # -- incremental recomputation (repro.core.pipeline.refresh) --------
     # Registered lazily on the first refresh, so cold runs expose exactly

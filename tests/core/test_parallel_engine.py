@@ -131,7 +131,9 @@ class TestParallelEngine:
 
 
 class TestEngineStats:
-    def test_speedup_is_compute_over_wall(self):
+    def test_process_run_without_baseline_has_no_speedup(self):
+        # summed worker task seconds are no serial baseline: without a
+        # stamped one a parallel run reports no speedup at all
         stats = EngineStats(
             executor="process",
             workers=2,
@@ -140,7 +142,10 @@ class TestEngineStats:
             task_seconds={"a": 0.8, "b": 0.9},
         )
         assert stats.compute_seconds == pytest.approx(1.7)
-        assert stats.speedup == pytest.approx(1.7)
+        assert stats.speedup is None
+        assert stats.as_dict()["speedup"] is None
+        stats.serial_baseline_seconds = 1.2
+        assert stats.speedup == pytest.approx(1.2)
 
     def test_zero_wall_never_divides(self):
         stats = EngineStats(executor="serial", workers=1)

@@ -147,3 +147,35 @@ class TestConfig:
             ds, config=PipelineConfig(phase_sigma=12.0)
         )
         assert len(strict.context.phase_candidates) <= len(loose.context.phase_candidates)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("phase_sigma", float("nan")),
+            ("phase_sigma", float("inf")),
+            ("phase_sigma", 0.0),
+            ("env_sigma", float("nan")),
+            ("env_sigma", -1.0),
+            ("vector_sigma", float("nan")),
+            ("vector_sigma", float("-inf")),
+            ("support_tolerance", float("nan")),
+            ("support_tolerance", float("inf")),
+            ("support_tolerance", -1.0),
+            ("max_candidates_per_trace", 0),
+            ("max_candidates_per_trace", -1),
+            ("candidate_gap", -1),
+            ("line_history", -3),
+        ],
+    )
+    def test_values_that_switch_detection_off_are_rejected(self, field, value):
+        # each of these used to be accepted and silently report nothing
+        # (or fail only at run time): the error must name the field
+        with pytest.raises(ValueError, match=field):
+            PipelineConfig(**{field: value})
+
+    def test_boundary_values_are_accepted(self):
+        config = PipelineConfig(
+            phase_sigma=1e-3, support_tolerance=0.0, max_candidates_per_trace=1,
+            candidate_gap=0, line_history=0,
+        )
+        assert config.max_candidates_per_trace == 1

@@ -284,6 +284,26 @@ class TestAssessSeries:
         with pytest.raises(ValueError):
             QualityPolicy(flatline_run=1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("flatline_tolerance", float("nan")),
+            ("flatline_tolerance", float("inf")),
+            ("flatline_tolerance", -1.0),
+            ("repair_max_gap", -1),
+        ],
+    )
+    def test_policy_rejects_values_that_disable_checks(self, field, value):
+        # a NaN or negative tolerance let a 60-sample stuck run pass the gate
+        with pytest.raises(ValueError, match=field):
+            QualityPolicy(**{field: value})
+
+    def test_stuck_run_caught_at_zero_tolerance_and_gap(self, rng):
+        x = rng.normal(size=200)
+        x[100:160] = 3.25
+        policy = QualityPolicy(flatline_tolerance=0.0, repair_max_gap=0)
+        assert [i.code for i in assess_series(x, policy)] == ["flatline"]
+
 
 class TestRepairSeries:
     def test_clean_input_untouched(self, rng):

@@ -184,6 +184,14 @@ class TestSpeedupDefinition:
         assert stats.speedup == pytest.approx(1.5)
         assert stats.as_dict()["serial_baseline_seconds"] == pytest.approx(3.0)
 
+    def test_speedup_gauge_needs_a_baseline(self):
+        serial, __ = _run(_plant(3), executor="serial")
+        proc, __ = _run(_plant(3), executor="process", max_workers=2)
+        assert proc.context.engine_stats().speedup is None
+        gauge = "repro_parallel_speedup"
+        assert len(serial.telemetry.metrics.get(gauge).samples()) == 1
+        assert proc.telemetry.metrics.get(gauge).samples() == []
+
     def test_zero_wall_is_not_a_division(self):
         stats = EngineStats(executor="serial", workers=1)
         assert stats.speedup == 0.0

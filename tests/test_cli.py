@@ -72,6 +72,21 @@ class TestCommands:
         payload = json.loads(out_json.read_text())
         assert "reports" in payload
 
+    def test_detect_process_without_baseline_prints_utilization(
+        self, plant_file, capsys
+    ):
+        rc = main([
+            "detect", "--plant", str(plant_file), "--executor", "process",
+            "--top", "1",
+        ])
+        assert rc == 0
+        engine_line = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("engine: process")
+        )
+        assert "cpu_utilization" in engine_line
+        assert "speedup" not in engine_line
+
     def test_detect_explain(self, plant_file, capsys):
         rc = main(["detect", "--plant", str(plant_file), "--explain", "2"])
         assert rc == 0
