@@ -1,12 +1,13 @@
 """Perf benchmark — incremental ingest latency vs plant size.
 
-The incremental tentpole's contract: ingesting one new job re-runs only
-that job's task-DAG closure (its machine's phase task plus the cheap
-vector levels), so per-job refresh latency is governed by *one machine's*
-payload and stays flat as the plant grows — while a cold full recompute
-grows with the number of machines.  Each plant size also cross-checks the
-headline correctness guarantee: the incrementally refreshed pipeline
-serializes byte-identically to a cold rebuild on the full dataset.
+The incremental contract: ingesting one new job re-runs only that job's
+task-DAG closure (its machine's phase task, which scores the new job's
+traces alone, plus the cheap vector levels), so per-job refresh latency is
+governed by *one job's* payload and stays flat as the plant grows — while
+a cold full recompute grows with the number of machines.  Each plant size
+also cross-checks the headline correctness guarantee: the incrementally
+refreshed pipeline serializes byte-identically to a cold rebuild on the
+full dataset.
 
 The flatness assertion tolerates a 1.5x drift by default (the global job
 table and the assembly pass do grow slowly with plant size); relax via

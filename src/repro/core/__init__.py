@@ -49,7 +49,6 @@ from .parallel import (
     ParallelEngine,
     Task,
     TaskGraph,
-    derive_task_seed,
     resolve_workers,
 )
 from .pipeline import (
@@ -125,7 +124,6 @@ __all__ = [
     "Task",
     "EngineStats",
     "EXECUTORS",
-    "derive_task_seed",
     "resolve_workers",
     "RunHealth",
     "FallbackEvent",

@@ -400,11 +400,7 @@ class CheckpointManager:
 
         pipeline = cast(HierarchicalDetectionPipeline, self.pipeline)
         context = pipeline.context
-        watermark = sorted(
-            (m.machine_id, j.job_index)
-            for m in pipeline.dataset.iter_machines()
-            for j in m.jobs
-        )
+        watermark = context._snapshot_watermark()
         sections: Dict[str, object] = {
             "meta": {
                 "config": pipeline.config,

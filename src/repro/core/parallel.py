@@ -11,10 +11,9 @@ machinery; :mod:`repro.core.pipeline` builds the concrete graph.
 Design constraints, in order:
 
 * **determinism first** — results are merged *by task key in graph
-  insertion order*, never in completion order; per-task RNG seeds are a
-  pure function of the task key (:func:`derive_task_seed`); the serial
-  and process executors therefore produce bit-identical pipeline
-  results;
+  insertion order*, never in completion order, and a task's result is
+  a function of its payload alone; the serial and process executors
+  therefore produce bit-identical pipeline results;
 * **one construction site** — this module is the only place in
   ``src/repro`` allowed to construct a ``ProcessPoolExecutor``
   (enforced statically by repro-lint rule DET005), so executor policy,
@@ -33,12 +32,9 @@ from __future__ import annotations
 
 import os
 import time
-import zlib
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
 
 __all__ = [
     "Task",
@@ -46,25 +42,11 @@ __all__ = [
     "EngineStats",
     "ParallelEngine",
     "EXECUTORS",
-    "derive_task_seed",
     "resolve_workers",
 ]
 
 #: The configurable executor kinds (``PipelineConfig.executor``).
 EXECUTORS: Tuple[str, ...] = ("serial", "process")
-
-
-def derive_task_seed(root_seed: int, key: str) -> int:
-    """Deterministic per-task RNG child seed.
-
-    A pure function of ``(root_seed, key)`` — independent of scheduling
-    order, worker identity, and executor kind — so stochastic detectors
-    seeded from it behave identically under every executor.  The key is
-    folded through CRC-32 into a :class:`numpy.random.SeedSequence` so
-    sibling tasks get statistically independent streams.
-    """
-    entropy = [int(root_seed) & 0xFFFFFFFF, zlib.crc32(key.encode("utf-8"))]
-    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
 def resolve_workers(executor: str, max_workers: Optional[int]) -> int:

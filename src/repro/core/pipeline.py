@@ -45,7 +45,7 @@ from .outlier import (
     rank_reports,
 )
 from . import shm
-from .parallel import EngineStats, ParallelEngine, Task, TaskGraph, derive_task_seed
+from .parallel import EngineStats, ParallelEngine, Task, TaskGraph
 from .resilience import (
     DetectorSandbox,
     FallbackEvent,
@@ -309,6 +309,8 @@ def _modal_expected_length(
 # the serial and process executors.
 
 _EventList = List[Tuple[str, object]]
+#: a phase task's output: (sensor, trace) pairs and candidates, in job order
+_PhaseOut = Tuple[List[Tuple[str, _Trace]], List[OutlierCandidate]]
 _T = TypeVar("_T")
 
 
@@ -316,10 +318,8 @@ _T = TypeVar("_T")
 class _ScoreTask:
     """Picklable payload of one scoring task.
 
-    ``seed`` is a deterministic per-task RNG child derived from the task
-    key (:func:`repro.core.parallel.derive_task_seed`) — available to
-    stochastic detectors so determinism never depends on scheduling
-    order (the built-in detectors additionally self-seed).
+    Nothing in it depends on scheduling order; stochastic detectors seed
+    themselves.
     """
 
     kind: str  # "phase" | "env" | "job" | "line" | "production"
@@ -327,7 +327,6 @@ class _ScoreTask:
     level: ProductionLevel
     chain: Tuple[str, ...]
     config: PipelineConfig
-    seed: int
     telemetry_enabled: bool
     executor: str
     #: Tuple of level inputs, or an ``shm.ShmPayload`` wrapping that tuple
@@ -570,12 +569,13 @@ def _score_matrix_resilient(
 
 
 def _run_phase_task(state: _WorkerState, data: Tuple[object, ...]) -> object:
-    """Score one machine's phase traces.
+    """Score the phase traces of the jobs in the payload (one machine's).
 
     Per-trace work is stacked per distinct length: one gate precheck
     before the group loop and one threshold/peak pass after it.  Gating
     and scoring stay per (job, phase) group, so events, fallback units and
-    batch groups are those of a trace-by-trace walk.
+    batch groups are those of a trace-by-trace walk, and the output for
+    several jobs is the output for each job, concatenated in job order.
     """
     machine_id, jobs = cast(
         Tuple[str, Tuple[Tuple[int, Tuple[Tuple[str, Tuple[Tuple[str, TimeSeries], ...]], ...]], ...]],
@@ -792,7 +792,8 @@ class PlantHierarchyContext(HierarchyContext):
 
         Shared by the cold build and the checkpoint restore path
         (:meth:`_from_snapshot_state`), which installs snapshotted task
-        outputs instead of executing the level DAG.
+        outputs instead of executing the level DAG.  No machine has a
+        scored job yet, so the first graph scores every job.
         """
         self.dataset = dataset
         self.selector = selector or AlgorithmSelector()
@@ -818,10 +819,14 @@ class PlantHierarchyContext(HierarchyContext):
         self._batch_group_count = 0
         # Per-task retained state: the persisted fits (scored trace /
         # candidate outputs) and replayable event lists that make the DAG
-        # incremental — a refresh re-runs only the dirty tasks, overwrites
-        # their entries here, and reassembles everything else from cache.
+        # incremental — a refresh re-runs only the dirty tasks, appends
+        # (phase) or overwrites (every other kind) their entries here, and
+        # reassembles everything else from cache.
         self._task_events: Dict[str, List[Tuple[str, object]]] = {}
         self._phase_out: Dict[str, object] = {}
+        # machine -> how many of its jobs (a prefix of ``machine.jobs``)
+        # the phase outputs above cover
+        self._scored_jobs: Dict[str, int] = {}
         self._env_out: Dict[str, object] = {}
         self._job_out: Optional[object] = None
         self._line_out: Dict[str, object] = {}
@@ -876,6 +881,17 @@ class PlantHierarchyContext(HierarchyContext):
             "stats": self._stats,
         }
 
+    def _snapshot_watermark(self) -> List[Tuple[str, int]]:
+        """Every job the stored outputs cover, as sorted ``(machine_id,
+        job_index)`` pairs: each machine's first scored jobs.  A job
+        ingested but not yet refreshed is past it, so a resume replays it.
+        """
+        return sorted(
+            (m.machine_id, j.job_index)
+            for m in self.dataset.iter_machines()
+            for j in m.jobs[: self._scored_jobs[m.machine_id]]
+        )
+
     def _snapshot_incremental_state(self) -> Dict[str, object]:
         """The executor-invariant incremental counters of ``stats()``."""
         return {
@@ -913,6 +929,8 @@ class PlantHierarchyContext(HierarchyContext):
             ).items()
         }
         self._phase_out = dict(cast(Dict[str, object], tasks["phase_out"]))
+        # the watermark partition holds exactly the jobs the phase outputs cover
+        self._scored_jobs = {m.machine_id: len(m.jobs) for m in dataset.iter_machines()}
         self._env_out = dict(cast(Dict[str, object], tasks["env_out"]))
         self._job_out = tasks["job_out"]
         self._line_out = dict(cast(Dict[str, object], tasks["line_out"]))
@@ -1093,12 +1111,15 @@ class PlantHierarchyContext(HierarchyContext):
         method order — the merge step replays events in this order, which
         is what makes the health record executor-invariant.
 
-        With ``only`` (a set of task keys — the dirty closure of a
-        refresh), the graph is restricted to those tasks: others are
-        skipped and dependency edges are clamped to the keys actually
-        present, preserving relative insertion order.  Task seeds are a
-        pure function of the key, so a task scheduled in a restricted
-        graph scores exactly as it would in the full one.
+        A phase task carries only the machine's jobs its stored outputs
+        do not cover yet (every job on a cold build); :meth:`_merge_results`
+        appends what it scores.  With ``only`` (a set of task keys — the
+        dirty closure of a refresh), the graph is restricted to those
+        tasks: others are skipped and dependency edges are clamped to the
+        keys actually present, preserving relative insertion order.  A
+        task's output is a function of its payload alone, so a task
+        scheduled in a restricted graph scores exactly as it would in the
+        full one.
         """
         cfg = self.config
         graph = TaskGraph()
@@ -1125,7 +1146,6 @@ class PlantHierarchyContext(HierarchyContext):
                         level=level,
                         chain=tuple(self.selector.fallback_chain(level)),
                         config=cfg,
-                        seed=derive_task_seed(0, key),
                         telemetry_enabled=enabled,
                         executor=cfg.executor,
                         data=data,
@@ -1147,7 +1167,7 @@ class PlantHierarchyContext(HierarchyContext):
                         for phase in job.phases
                     ),
                 )
-                for job in machine.jobs
+                for job in machine.jobs[self._scored_jobs.get(machine.machine_id, 0):]
             )
             add(
                 "phase", f"phase/{machine.machine_id}", ProductionLevel.PHASE,
@@ -1205,13 +1225,18 @@ class PlantHierarchyContext(HierarchyContext):
         afterwards by :meth:`_rebuild_health` so refreshed tasks never
         double-record), and span trees graft under the open build/refresh
         span (or as roots for process workers).
+
+        A phase result covers the machine's newly scored jobs only: its
+        traces, candidates and events extend the stored ones, which is
+        exact because a phase task's output is a job-by-job concatenation
+        (DESIGN §10).  New lists are built, so a snapshot holding the old
+        ones never changes.  Every other kind replaces its output.
         """
         # like ``parallel.tasks``: the last engine run, not a running total
         self._batch_group_count = 0
         for result in results.values():
             assert isinstance(result, _TaskResult)
             self.telemetry.tracer.graft(result.spans, parent_id=parent_id)
-            self._task_events[result.key] = list(result.events)
             for event_kind, payload in result.events:
                 self._apply_event(event_kind, payload, health=False)
             self._batch_group_count += result.batch_groups
@@ -1220,8 +1245,18 @@ class PlantHierarchyContext(HierarchyContext):
                     result.transport_seconds
                 )
             output = result.output
+            events = list(result.events)
             if result.kind == "phase":
-                self._phase_out[result.key.split("/", 1)[1]] = output
+                machine_id = result.key.split("/", 1)[1]
+                traces, candidates = cast(_PhaseOut, output)
+                old_traces, old_candidates = cast(
+                    _PhaseOut, self._phase_out.get(machine_id, ([], []))
+                )
+                self._phase_out[machine_id] = (
+                    old_traces + traces, old_candidates + candidates,
+                )
+                events = self._task_events.get(result.key, []) + events
+                self._scored_jobs[machine_id] = len(self.dataset.machine(machine_id).jobs)
             elif result.kind == "env":
                 self._env_out[result.key.split("/", 1)[1]] = output
             elif result.kind == "job":
@@ -1232,6 +1267,7 @@ class PlantHierarchyContext(HierarchyContext):
                 self._production_out = output
             else:  # pragma: no cover - graph construction is exhaustive
                 raise ValueError(f"unknown task kind {result.kind!r}")
+            self._task_events[result.key] = events
 
     def _assemble(self) -> None:
         """Rebuild the derived stores from the per-task outputs.
@@ -1248,9 +1284,7 @@ class PlantHierarchyContext(HierarchyContext):
             output = self._phase_out.get(machine.machine_id)
             if output is None:
                 continue
-            traces, candidates = cast(
-                Tuple[List[Tuple[str, _Trace]], List[OutlierCandidate]], output
-            )
+            traces, candidates = cast(_PhaseOut, output)
             for sensor_id, trace in traces:
                 self._traces.setdefault(sensor_id, []).append(trace)
             self._phase_candidates.extend(candidates)
@@ -1684,9 +1718,12 @@ class PlantHierarchyContext(HierarchyContext):
         ancestors and descendants of its line task (``job``, the line's
         jobs-over-time task, and ``production``) — re-runs exactly those
         tasks on the configured executor, and reassembles the derived
-        state from the persisted outputs of every untouched task.  Cache
-        entries are then evicted *scoped*: only what the dirty subgraph
-        can have changed (see :meth:`_evict_dirty`).
+        state from the persisted outputs of every untouched task.  The
+        phase task scores only the machine's jobs its stored outputs do
+        not cover yet (the newly ingested ones) and its outputs are
+        appended; the vector tasks rescore every job.  Cache entries are
+        then evicted *scoped*: only what the dirty subgraph can have
+        changed (see :meth:`_evict_dirty`).
 
         The contract is the one the parallel engine established: after a
         refresh, reports and health are byte-identical to a cold build on

@@ -158,8 +158,8 @@ class RngTrap:
                             line=line,
                             message="np.random.default_rng() constructed "
                             "without a seed during a sanitized run",
-                            hint="pass an explicit seed (derive_task_seed for "
-                            "engine tasks) or thread a Generator parameter",
+                            hint="pass an explicit seed or thread a "
+                            "Generator parameter",
                         )
                     )
             return original(*args, **kwargs)

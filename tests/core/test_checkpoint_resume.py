@@ -465,6 +465,23 @@ class TestCrashResumeByteIdentity:
         # one build snapshot + one per 3 of the 8 refreshes
         assert len(pipeline.checkpoint.store.snapshots()) == 1 + len(arrivals) // 3
 
+    def test_snapshot_with_a_pending_ingest_replays_that_job(self, tmp_path):
+        # a job ingested but not yet refreshed is not scored: the snapshot's
+        # watermark must leave it out, so the resume replays it
+        full = _plant(SEEDS[0])
+        base, arrivals = full.split_tail(1)
+        pipeline = HierarchicalDetectionPipeline(
+            base, config=PipelineConfig(checkpoint_dir=str(tmp_path / "s"))
+        )
+        pipeline.dataset.ingest_job(*arrivals[0])
+        pipeline.checkpoint.snapshot("manual")
+        resumed, summaries, __ = resume_pipeline(full, tmp_path / "s")
+        assert len(summaries) == len(arrivals)
+        cold = HierarchicalDetectionPipeline(_plant(SEEDS[0]))
+        assert reports_to_json(
+            resumed.run(), health=resumed.health
+        ) == reports_to_json(cold.run(), health=cold.health)
+
     def test_watermark_must_be_subset_of_dataset(self):
         dataset = _plant(SEEDS[0])
         with pytest.raises(ValueError, match="absent"):

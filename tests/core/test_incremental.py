@@ -11,10 +11,13 @@ task-graph traversals, and the scoped cache eviction.
 
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
 
+from repro.core import AlgorithmSelector, ProductionLevel
+from repro.core.checkpoint import resume_pipeline
 from repro.core.parallel import Task, TaskGraph
 from repro.core.pipeline import HierarchicalDetectionPipeline, PipelineConfig
 from repro.io import reports_to_json
@@ -46,6 +49,92 @@ def _replay(dataset, tail: int, **config):
     pipeline = HierarchicalDetectionPipeline(base, config=PipelineConfig(**config))
     summaries = [pipeline.ingest_job(machine_id, job) for machine_id, job in arrivals]
     return pipeline, summaries
+
+
+# ----------------------------------------------------------------------
+# ingest patterns: each takes ``build(dataset, **config) -> pipeline``, the
+# full plant and a scratch directory, and returns the pipeline after every
+# held-out job (tail 2) has been ingested and refreshed
+# ----------------------------------------------------------------------
+def _one_by_one(build, full, scratch):
+    base, arrivals = full.split_tail(2)
+    pipeline = build(base)
+    for arrival in arrivals:
+        pipeline.ingest_job(*arrival)
+    return pipeline
+
+
+def _one_machine_batch(build, full, scratch):
+    """Both held-out jobs of one machine before one refresh, then the rest."""
+    base, arrivals = full.split_tail(2)
+    pipeline = build(base)
+    first = arrivals[0][0]
+    for arrival in arrivals:
+        if arrival[0] == first:
+            base.ingest_job(*arrival)
+    assert pipeline.refresh()["dirty_jobs"] == 2
+    for arrival in arrivals:
+        if arrival[0] != first:
+            pipeline.ingest_job(*arrival)
+    return pipeline
+
+
+def _two_lines_batch(build, full, scratch):
+    """One job of each line in one refresh, then every other job in one."""
+    base, arrivals = full.split_tail(2)
+    pipeline = build(base)
+    firsts = {}
+    for machine_id, job in arrivals:
+        firsts.setdefault(base.line_of(machine_id).line_id, (machine_id, job))
+    assert len(firsts) == 2
+    for arrival in firsts.values():
+        base.ingest_job(*arrival)
+    assert set(pipeline.refresh()["task_keys"]) >= {"line/line-0", "line/line-1"}
+    for arrival in arrivals:
+        if arrival not in firsts.values():
+            base.ingest_job(*arrival)
+    pipeline.refresh()
+    return pipeline
+
+
+def _append_after_restore(build, full, scratch):
+    """Ingest (each refresh snapshots), resume from the newest snapshot,
+    and let the resume ingest the rest onto the restored outputs."""
+    base, arrivals = full.split_tail(2)
+    pipeline = build(base, checkpoint_dir=str(scratch))
+    for arrival in arrivals[:3]:
+        pipeline.ingest_job(*arrival)
+    resumed, summaries, __ = resume_pipeline(
+        full, scratch, selector=pipeline.context.selector
+    )
+    assert len(summaries) == len(arrivals) - 3
+    return resumed
+
+
+def _short_nan_bursts(seed: int):
+    """NaN bursts of 6 samples: within ``repair_max_gap``, so repaired."""
+    dataset, __ = inject_chaos(
+        _plant(seed), ChaosConfig(seed=0, nan_burst_rate=0.3, nan_burst_length=6)
+    )
+    return dataset
+
+
+#: case -> (full plant, PHASE fallback chain or None for the default,
+#: ingest pattern)
+INGEST_CASES = {
+    "one-machine-batch": (functools.partial(_plant, 3), None, _one_machine_batch),
+    "two-lines-batch": (functools.partial(_plant, 11), None, _two_lines_batch),
+    "append-after-restore": (
+        functools.partial(_plant, 29), None, _append_after_restore,
+    ),
+    # fallback events of the always-raising head interleave with the
+    # gate's repair warnings in every (job, phase) group
+    "chaos-raise+repaired-nan": (
+        functools.partial(_short_nan_bursts, 3),
+        ("chaos-raise", "ar", "deviants", "zscore"),
+        _one_by_one,
+    ),
+}
 
 
 # ----------------------------------------------------------------------
@@ -93,6 +182,40 @@ class TestIncrementalByteIdentity:
         # full doc including the stats tree: the incremental counters are
         # scheduling-independent, so even stats are byte-identical
         assert docs["serial"] == docs["process"]
+
+    @pytest.mark.parametrize("case", sorted(INGEST_CASES))
+    def test_ingest_patterns_match_cold_recompute(self, case, tmp_path):
+        make_plant, phase_chain, feed = INGEST_CASES[case]
+        selector = AlgorithmSelector()
+        if phase_chain is not None:
+            selector.override(ProductionLevel.PHASE, list(phase_chain))
+
+        def build(dataset, **config):
+            return HierarchicalDetectionPipeline(
+                dataset, selector=selector, config=PipelineConfig(**config)
+            )
+
+        def phase_candidates(pipeline):  # appended outputs keep job order
+            return [(c.key, c.outlierness) for c in pipeline.context.phase_candidates]
+
+        cold = build(make_plant())
+        cold_doc, cold_health = _doc(cold), cold.health.as_dict()
+        if phase_chain is not None:  # the case must exercise what it names
+            assert cold_health["fallbacks"] and cold_health["warnings"]
+        full_docs = {}
+        for executor, workers in (("serial", {}), ("process", {"max_workers": 2})):
+            warm = feed(
+                functools.partial(build, executor=executor, **workers),
+                make_plant(),
+                tmp_path / executor,
+            )
+            assert _doc(warm) == cold_doc
+            assert warm.health.as_dict() == cold_health
+            assert phase_candidates(warm) == phase_candidates(cold)
+            full_docs[executor] = reports_to_json(
+                warm.run(), health=warm.health, stats=warm.stats()
+            )
+        assert full_docs["serial"] == full_docs["process"]
 
     def test_refresh_reruns_only_the_dirty_closure(self):
         dataset = _plant(11)
@@ -288,8 +411,8 @@ def _same_length_groups(traces) -> int:
 
 class TestParallelStatsScope:
     """``stats()["parallel"]`` describes the last engine run: after a
-    refresh both ``tasks`` and ``batch_groups`` count the dirty subgraph
-    only, never a running total across runs."""
+    refresh ``tasks`` counts the dirty subgraph and ``batch_groups`` the
+    newly scored job's groups, never a running total across runs."""
 
     def test_block_after_refresh_counts_the_refreshed_tasks(self):
         base, arrivals = _plant(3).split_tail(1)
@@ -305,17 +428,37 @@ class TestParallelStatsScope:
         }
         for machine_id, job in arrivals[:2]:
             summary = pipeline.ingest_job(machine_id, job)
-            (machine,) = [
-                m for m in pipeline.context.dataset.iter_machines()
-                if m.machine_id == machine_id
-            ]
-            # the refresh re-ran one phase task: its (job, phase) groups
+            # the refresh's phase task scored the ingested job only
             refreshed_groups = sum(
-                _same_length_groups(phase.series.values())
-                for scored_job in machine.jobs
-                for phase in scored_job.phases
+                _same_length_groups(phase.series.values()) for phase in job.phases
             )
             assert pipeline.stats()["parallel"] == {
                 "tasks": summary["dirty_tasks"], "batch_groups": refreshed_groups,
             }
             assert pipeline.context.engine_stats().n_tasks == summary["dirty_tasks"]
+
+
+class TestRefreshWorkScope:
+    """A refresh scores the ingested job's phase traces only, so its phase
+    work does not grow with the machine's history."""
+
+    @pytest.mark.parametrize("jobs_per_machine", (4, 16))
+    def test_refresh_scores_only_the_ingested_job(self, jobs_per_machine):
+        dataset = simulate_plant(
+            PlantConfig(seed=5, n_lines=1, machines_per_line=2,
+                        jobs_per_machine=jobs_per_machine)
+        )
+        base, arrivals = dataset.split_tail(1)
+        pipeline = HierarchicalDetectionPipeline(base)
+        tracer = pipeline.telemetry.tracer
+        n_spans = len(tracer.spans)
+        machine_id, job = arrivals[0]
+        pipeline.ingest_job(machine_id, job)
+        groups = sum(_same_length_groups(phase.series.values()) for phase in job.phases)
+        phase_calls = [
+            span for span in tracer.spans[n_spans:]
+            if span.name == "detector" and span.attributes["level"] == "PHASE"
+        ]
+        assert pipeline.stats()["parallel"]["batch_groups"] == groups
+        assert len(phase_calls) == groups
+

@@ -2,10 +2,9 @@
 
 The engine's contract is deterministic merge order: whatever the
 executor and whatever order tasks *complete* in, ``run`` returns results
-keyed in graph insertion order, and per-task seeds depend only on the
-task key.  These tests pin that contract plus the graph invariants
-(topological-by-construction, duplicate/unknown-dep rejection) and the
-stats the pipeline folds into metrics.
+keyed in graph insertion order.  These tests pin that contract plus the
+graph invariants (topological-by-construction, duplicate/unknown-dep
+rejection) and the stats the pipeline folds into metrics.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from repro.core.parallel import (
     ParallelEngine,
     Task,
     TaskGraph,
-    derive_task_seed,
     resolve_workers,
 )
 
@@ -61,18 +59,6 @@ class TestTaskGraph:
         graph = TaskGraph()
         with pytest.raises(ValueError, match="unknown task"):
             graph.add(Task(key="b", payload=1, deps=("a",)))
-
-
-class TestDeriveTaskSeed:
-    def test_pure_function_of_root_and_key(self):
-        assert derive_task_seed(0, "phase/m1") == derive_task_seed(0, "phase/m1")
-
-    def test_distinct_keys_get_distinct_seeds(self):
-        seeds = {derive_task_seed(0, f"phase/m{i}") for i in range(50)}
-        assert len(seeds) == 50
-
-    def test_root_seed_changes_children(self):
-        assert derive_task_seed(0, "job") != derive_task_seed(1, "job")
 
 
 class TestResolveWorkers:

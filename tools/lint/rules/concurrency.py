@@ -222,7 +222,7 @@ class ConcurrencyRule(ProjectRule):
                         "mutable state: every consumer advances one stream, "
                         "so results depend on scoring order",
                         hint="construct per task from an explicit seed "
-                        "(derive_task_seed) or thread a Generator parameter",
+                        "or thread a Generator parameter",
                     )
 
 
