@@ -9,7 +9,7 @@ monitor    condition monitoring / alerts / maintenance over a plant
 table1     print the executable Table-1 capability matrix
 fig3       run the Fig.-3 corpus queries
 trace      pretty-print a span trace written by ``detect --trace-out``
-perf       performance tooling: slow-task report + perf-regression diff
+perf       performance tooling: slow-task report
 lint       run the repro-lint static contract checkers (tools.lint)
 sanitize   runtime determinism sanitizer (repro.sanitize)
 """
@@ -161,24 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf_report.add_argument("--top", type=int, default=10, metavar="K",
                              help="number of tasks to list")
-    perf_diff = perf_sub.add_parser(
-        "diff",
-        help="compare two perf artifacts (run manifests or BENCH_*.json); "
-             "exit 1 when any metric regresses past the threshold",
-    )
-    perf_diff.add_argument("old", help="baseline artifact")
-    perf_diff.add_argument("new", help="candidate artifact")
-    perf_diff.add_argument("--max-ratio", type=float, default=1.5,
-                           metavar="R",
-                           help="a metric regresses when new > old * R")
-    perf_diff.add_argument("--min-value", type=float, default=0.0,
-                           metavar="V",
-                           help="ignore regressions whose new value is below "
-                                "this noise floor")
-    perf_diff.add_argument("--threshold", action="append", default=[],
-                           metavar="PREFIX=R",
-                           help="per-metric ratio override by key prefix "
-                                "(repeatable; longest matching prefix wins)")
 
     lint = sub.add_parser(
         "lint",
@@ -613,10 +595,6 @@ def _load_json(path: str):
 
 
 def _cmd_perf(args) -> int:
-    return _cmd_perf_report(args) if args.perf_command == "report" else _cmd_perf_diff(args)
-
-
-def _cmd_perf_report(args) -> int:
     """Top-K slow-task table from a run manifest or span-trace file."""
     from .obs import perf_report_rows
 
@@ -650,53 +628,6 @@ def _cmd_perf_report(args) -> int:
                 f" {float(alloc) / 1024:10.1f}" if alloc is not None else f" {'-':>10s}"
             )
         print(line)
-    return 0
-
-
-def _cmd_perf_diff(args) -> int:
-    """Threshold-gated regression comparison of two perf artifacts."""
-    from .obs import diff_perf_metrics, extract_perf_metrics, iter_regressions
-
-    thresholds = {}
-    for spec in args.threshold:
-        prefix, sep, ratio = spec.partition("=")
-        if not sep or not prefix:
-            print(f"perf diff: bad --threshold {spec!r} (want PREFIX=RATIO)",
-                  file=sys.stderr)
-            return 2
-        try:
-            thresholds[prefix] = float(ratio)
-        except ValueError:
-            print(f"perf diff: bad --threshold ratio in {spec!r}", file=sys.stderr)
-            return 2
-    try:
-        old = extract_perf_metrics(_load_json(args.old))
-        new = extract_perf_metrics(_load_json(args.new))
-    except (OSError, ValueError) as exc:
-        print(f"perf diff: {exc}", file=sys.stderr)
-        return 2
-    deltas = diff_perf_metrics(
-        old, new, max_ratio=args.max_ratio, min_value=args.min_value,
-        thresholds=thresholds,
-    )
-    if not deltas:
-        print("perf diff: no comparable metrics between the two artifacts",
-              file=sys.stderr)
-        return 2
-    print(f"{'metric':44s} {'old':>12s} {'new':>12s} {'ratio':>8s}")
-    for d in deltas:
-        flag = "  REGRESSED" if d.regressed else ""
-        print(f"{d.metric:44s} {d.old:12.6f} {d.new:12.6f} {d.ratio:8.3f}{flag}")
-    for key in sorted(set(new) - set(old)):
-        print(f"{key:44s} {'(new)':>12s} {new[key]:12.6f}")
-    for key in sorted(set(old) - set(new)):
-        print(f"{key:44s} {old[key]:12.6f} {'(gone)':>12s}")
-    regressions = iter_regressions(deltas)
-    if regressions:
-        print(f"perf diff: {len(regressions)} metric(s) regressed past "
-              f"threshold (default x{args.max_ratio})")
-        return 1
-    print(f"perf diff: ok — {len(deltas)} metric(s) within threshold")
     return 0
 
 

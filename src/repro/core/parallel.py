@@ -122,38 +122,6 @@ class TaskGraph:
     def n_edges(self) -> int:
         return sum(len(t.deps) for t in self._tasks.values())
 
-    def ancestors(self, key: str) -> List[str]:
-        """Every task ``key`` transitively depends on, in insertion order.
-
-        The dirty-closure primitive of incremental recomputation: when a
-        node's inputs change, its ancestors bound what must already exist
-        and its :meth:`descendants` bound what must be re-run.
-        """
-        if key not in self._tasks:
-            raise KeyError(f"no task {key!r}")
-        seen: Dict[str, None] = {}
-        stack = list(self._tasks[key].deps)
-        while stack:
-            dep = stack.pop()
-            if dep not in seen:
-                seen[dep] = None
-                stack.extend(self._tasks[dep].deps)
-        return [k for k in self._tasks if k in seen]
-
-    def descendants(self, key: str) -> List[str]:
-        """Every task that transitively depends on ``key``, in insertion order."""
-        if key not in self._tasks:
-            raise KeyError(f"no task {key!r}")
-        reached: Dict[str, None] = {key: None}
-        # One forward sweep suffices: insertion order is topological, so a
-        # task's deps are always visited before the task itself.
-        for task in self._tasks.values():
-            if task.key in reached:
-                continue
-            if any(dep in reached for dep in task.deps):
-                reached[task.key] = None
-        return [k for k in reached if k != key]
-
 
 @dataclass
 class EngineStats:
@@ -202,12 +170,12 @@ class EngineStats:
 
         One definition everywhere: the baseline is a *measured* serial
         task time — ``serial_baseline_seconds`` when a caller stamped one
-        (BENCH_parallel stamps the serial leg's task time onto the
-        parallel legs); a serial run is its own measured baseline.  A
-        parallel run without a stamped baseline has no speedup (None):
-        its summed in-worker task seconds are no serial baseline (workers
-        that share cores each run slower), so dividing them by wall would
-        overstate the gain.
+        (``benchmarks/test_bench_parallel_speedup.py`` stamps the serial
+        leg's task time onto the process leg); a serial run is its own
+        measured baseline.  A parallel run without a stamped baseline has
+        no speedup (None): its summed in-worker task seconds are no serial
+        baseline (workers that share cores each run slower), so dividing
+        them by wall would overstate the gain.
         """
         baseline = getattr(self, "serial_baseline_seconds", None)
         if baseline is None:

@@ -1714,11 +1714,11 @@ class PlantHierarchyContext(HierarchyContext):
 
         Consumes the dataset's dirty set (jobs appended through
         :meth:`~repro.plant.PlantDataset.ingest_job`), maps every dirty
-        job to its task-DAG closure — its machine's phase task, plus the
-        ancestors and descendants of its line task (``job``, the line's
-        jobs-over-time task, and ``production``) — re-runs exactly those
-        tasks on the configured executor, and reassembles the derived
-        state from the persisted outputs of every untouched task.  The
+        job to its task-DAG closure — its machine's phase task, the
+        ``job`` table, its line's jobs-over-time task, and ``production``
+        — re-runs exactly those tasks on the configured executor, and
+        reassembles the derived state from the persisted outputs of every
+        untouched task.  The
         phase task scores only the machine's jobs its stored outputs do
         not cover yet (the newly ingested ones) and its outputs are
         appended; the vector tasks rescore every job.  Cache entries are
@@ -1743,22 +1743,14 @@ class PlantHierarchyContext(HierarchyContext):
             self, "_phase_scores_sorted", np.empty(0, dtype=float)
         )
         old_dead = set(self.health.dead_channels)
-        shadow = self._shadow_graph()
-        closure: Dict[str, None] = {}
+        # A new job changes its machine's phase task, the job table, its
+        # line's jobs-over-time matrix and the production panel; environment
+        # tasks read no jobs.
+        closure = {"job", "production"}
         for machine_id in dirty_machines:
-            line_id = self.dataset.line_of(machine_id).line_id
-            closure[f"phase/{machine_id}"] = None
-            line_key = f"line/{line_id}"
-            if line_key in shadow:
-                for key in shadow.ancestors(line_key):
-                    closure[key] = None
-                closure[line_key] = None
-                for key in shadow.descendants(line_key):
-                    closure[key] = None
-            else:  # pragma: no cover - an ingested job implies a line task
-                closure["job"] = None
-                closure["production"] = None
-        graph = self._build_task_graph(only=set(closure))
+            closure.add(f"phase/{machine_id}")
+            closure.add(f"line/{self.dataset.line_of(machine_id).line_id}")
+        graph = self._build_task_graph(only=closure)
         self._execute("pipeline.refresh", graph)
         self._publish_engine_metrics()
         phase_changed = not np.array_equal(
@@ -1784,28 +1776,6 @@ class PlantHierarchyContext(HierarchyContext):
             "retained": retained,
             "wall_seconds": self._engine_stats.wall_seconds,
         }
-
-    def _shadow_graph(self) -> TaskGraph:
-        """The level DAG's shape (keys and edges) without any payloads.
-
-        Cheap to rebuild after every ingest; used only for the
-        ancestor/descendant traversals that map dirty jobs to the task
-        closure a refresh must re-run.
-        """
-        graph = TaskGraph()
-        for machine in self.dataset.iter_machines():
-            graph.add(Task(key=f"phase/{machine.machine_id}", payload=None))
-        for line in self.dataset.lines:
-            graph.add(Task(key=f"env/{line.line_id}", payload=None))
-        graph.add(Task(key="job", payload=None))
-        line_keys = []
-        for line in self.dataset.lines:
-            if any(m.jobs for m in line.machines):
-                key = f"line/{line.line_id}"
-                line_keys.append(key)
-                graph.add(Task(key=key, payload=None, deps=("job",)))
-        graph.add(Task(key="production", payload=None, deps=tuple(line_keys)))
-        return graph
 
     def _evict_dirty(
         self,

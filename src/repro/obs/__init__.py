@@ -16,8 +16,8 @@ A stdlib-only observability subsystem threaded through every layer:
 * :mod:`repro.obs.perf` — the performance plane: a Chrome trace-event
   (Perfetto-loadable) exporter with per-worker pid/tid lanes and
   cross-process flow events, an opt-in sampling profiler with
-  collapsed-stack output, and the report/diff helpers behind
-  ``repro perf``.
+  collapsed-stack output, and the slow-task report behind
+  ``repro perf report``.
 
 :class:`Telemetry` bundles one tracer, one metrics registry, and one
 logger; the pipeline creates an enabled bundle by default
@@ -50,12 +50,8 @@ from .metrics import (
 )
 from .perf import (
     CHROME_TRACE_SCHEMA,
-    PerfDelta,
     SamplingProfiler,
     chrome_trace_to_json,
-    diff_perf_metrics,
-    extract_perf_metrics,
-    iter_regressions,
     perf_report_rows,
     to_chrome_trace,
     validate_chrome_trace,
@@ -98,10 +94,6 @@ __all__ = [
     "validate_chrome_trace",
     "SamplingProfiler",
     "perf_report_rows",
-    "extract_perf_metrics",
-    "diff_perf_metrics",
-    "iter_regressions",
-    "PerfDelta",
     "MetricSpec",
     "METRIC_CATALOG",
     "DYNAMIC_METRIC_PREFIXES",

@@ -1,7 +1,7 @@
-"""Performance observability: Chrome traces, profiling, and perf diffs.
+"""Performance observability: Chrome traces, profiling, slow-task reports.
 
 The pipeline's tracer answers *what* ran; this module answers *where the
-time and memory went* and *whether it got slower than last time*:
+time and memory went*:
 
 * :func:`to_chrome_trace` — renders a (possibly grafted) span forest in
   the Chrome trace-event format, loadable in Perfetto / ``chrome://
@@ -19,11 +19,11 @@ time and memory went* and *whether it got slower than last time*:
   a registered DET003 clock-injection point) but never touches the
   telemetry clock and feeds nothing back into reports, so deterministic
   runs stay byte-identical with profiling on;
-* :func:`perf_report_rows` / :func:`extract_perf_metrics` /
-  :func:`diff_perf_metrics` — the library halves of ``repro perf
-  report`` (top-K slow-task table from a run manifest or span trace) and
-  ``repro perf diff`` (threshold-gated regression comparison of two run
-  manifests or ``BENCH_*.json`` documents).
+* :func:`perf_report_rows` — the library half of ``repro perf report``
+  (top-K slow-task table from a run manifest or span trace).
+
+Whether a change made the program slower is answered by perfbench
+(``perfbench/run.py``), not here.
 
 Everything here is stdlib-only, like the rest of ``repro.obs``.
 """
@@ -36,7 +36,7 @@ import sys
 import threading
 import time
 from types import FrameType, TracebackType
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union
 
 from ..atomic import write_atomic
 from .trace import Span, Tracer, spans_from_dicts
@@ -49,10 +49,6 @@ __all__ = [
     "validate_chrome_trace",
     "SamplingProfiler",
     "perf_report_rows",
-    "extract_perf_metrics",
-    "diff_perf_metrics",
-    "iter_regressions",
-    "PerfDelta",
 ]
 
 #: Stamped into the exported document's ``otherData`` block.
@@ -473,7 +469,7 @@ class SamplingProfiler:
 
 
 # ----------------------------------------------------------------------
-# perf report / diff (the library halves of the CLI subcommands)
+# perf report (the library half of the CLI subcommand)
 # ----------------------------------------------------------------------
 def perf_report_rows(
     doc: Mapping[str, object], top: int = 10
@@ -513,144 +509,3 @@ def perf_report_rows(
         )
     rows.sort(key=lambda r: (-float(r.get("wall_seconds", 0.0)), str(r.get("task"))))
     return rows[: max(0, int(top))]
-
-
-def _bench_metrics(benches: Mapping[str, object]) -> Dict[str, float]:
-    """Flatten the parsed tables of a BENCH_*.json ``benches`` block."""
-    out: Dict[str, float] = {}
-
-    def put(name: str, value: object) -> None:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            out[name] = float(value)
-
-    for bench_name, entry in benches.items():
-        if not isinstance(entry, Mapping):
-            continue
-        parsed = entry.get("parsed")
-        if not isinstance(parsed, Mapping):
-            continue
-        for row in parsed.get("rows", ()):  # type: ignore[attr-defined]
-            if not isinstance(row, Mapping):
-                continue
-            if bench_name == "parallel_speedup":
-                key = str(row.get("executor"))
-                put(f"parallel/{key}/wall_s", row.get("wall_s"))
-            elif bench_name == "incremental":
-                key = f"{row.get('lines')}x{row.get('machines')}"
-                put(f"incremental/{key}/p50_ms", row.get("p50_ms"))
-                put(f"incremental/{key}/p99_ms", row.get("p99_ms"))
-                put(f"incremental/{key}/cold_s", row.get("cold_s"))
-            elif bench_name == "checkpoint":
-                key = f"{row.get('lines')}x{row.get('machines')}x{row.get('jobs')}"
-                put(f"checkpoint/{key}/resume_ms", row.get("resume_ms"))
-                put(f"checkpoint/{key}/snapshot_ms", row.get("snapshot_ms"))
-                put(f"checkpoint/{key}/cold_s", row.get("cold_s"))
-            elif bench_name == "detector_batch":
-                key = str(row.get("detector"))
-                put(f"batch/{key}/scalar_ms", row.get("scalar_ms"))
-                put(f"batch/{key}/batch_ms", row.get("batch_ms"))
-    return out
-
-
-def extract_perf_metrics(doc: Mapping[str, object]) -> Dict[str, float]:
-    """Comparable lower-is-better timings from a perf artifact.
-
-    Understands stamped and unstamped ``BENCH_*.json`` documents
-    (``repro.bench/*``: per-executor wall seconds, incremental p50/p99,
-    checkpoint resume/snapshot timings) and ``repro.manifest/1`` run
-    manifests (total + per-level wall clock, engine wall/compute
-    seconds).  Keys are stable across schema versions so two artifacts
-    of the same flavour diff against each other.
-    """
-    schema = str(doc.get("schema", ""))
-    if schema.startswith("repro.bench"):
-        benches = doc.get("benches")
-        return _bench_metrics(benches) if isinstance(benches, Mapping) else {}
-    if schema.startswith("repro.manifest"):
-        out: Dict[str, float] = {}
-        wall = doc.get("wall_clock")
-        if isinstance(wall, Mapping):
-            total = wall.get("total_seconds")
-            if isinstance(total, (int, float)):
-                out["wall/total_seconds"] = float(total)
-            levels = wall.get("levels")
-            if isinstance(levels, Mapping):
-                for level, seconds in levels.items():
-                    if isinstance(seconds, (int, float)):
-                        out[f"wall/level/{level}"] = float(seconds)
-        engine = doc.get("engine")
-        if isinstance(engine, Mapping):
-            for field in ("wall_seconds", "compute_seconds", "cpu_seconds"):
-                value = engine.get(field)
-                if isinstance(value, (int, float)):
-                    out[f"engine/{field}"] = float(value)
-        return out
-    raise ValueError(
-        f"unsupported perf artifact schema {schema!r} (expected "
-        "repro.bench/* or repro.manifest/*)"
-    )
-
-
-class PerfDelta:
-    """One compared metric of a perf diff."""
-
-    __slots__ = ("metric", "old", "new", "ratio", "regressed")
-
-    def __init__(
-        self, metric: str, old: float, new: float, ratio: float, regressed: bool
-    ) -> None:
-        self.metric = metric
-        self.old = old
-        self.new = new
-        self.ratio = ratio
-        self.regressed = regressed
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        flag = " REGRESSED" if self.regressed else ""
-        return (
-            f"PerfDelta({self.metric}: {self.old} -> {self.new}, "
-            f"x{self.ratio:.2f}{flag})"
-        )
-
-
-def diff_perf_metrics(
-    old: Mapping[str, float],
-    new: Mapping[str, float],
-    max_ratio: float = 1.5,
-    min_value: float = 0.0,
-    thresholds: Optional[Mapping[str, float]] = None,
-) -> List[PerfDelta]:
-    """Compare two lower-is-better metric maps key by key.
-
-    A metric regresses when ``new > old * limit`` where ``limit`` is the
-    per-metric override in ``thresholds`` (longest matching key prefix
-    wins) or ``max_ratio``.  Metrics whose new value is below
-    ``min_value`` never regress — a noise floor for micro-timings.
-    Only keys present on both sides are compared; callers report
-    added/removed keys themselves.
-    """
-    if max_ratio <= 0:
-        raise ValueError(f"max_ratio must be > 0, got {max_ratio}")
-    deltas: List[PerfDelta] = []
-    for metric in sorted(set(old) & set(new)):
-        before = float(old[metric])
-        after = float(new[metric])
-        limit = max_ratio
-        if thresholds:
-            best = -1
-            for prefix, value in thresholds.items():
-                if metric.startswith(prefix) and len(prefix) > best:
-                    best = len(prefix)
-                    limit = float(value)
-        if before > 0:
-            ratio = after / before
-        else:
-            ratio = 1.0 if after <= 0 else float("inf")
-        regressed = ratio > limit and after >= min_value
-        deltas.append(PerfDelta(metric, before, after, ratio, regressed))
-    return deltas
-
-
-def iter_regressions(deltas: Iterable[PerfDelta]) -> List[PerfDelta]:
-    """The regressed subset of a :func:`diff_perf_metrics` result."""
-    return [d for d in deltas if d.regressed]

@@ -87,7 +87,10 @@ def sax_word(series, word_length: int, alphabet_size: int = 4) -> str:
     mu = finite.mean()
     sigma = finite.std()
     # relative degeneracy threshold so large constant offsets do not turn
-    # float noise into spurious shape (keeps SAX affine-invariant)
+    # float noise into spurious shape.  SAX is affine-invariant for series
+    # that clear it before and after scaling/shifting; a near-flat series
+    # can fall on either side, since the transform moves sigma and |mu|
+    # differently.
     if sigma > 1e-9 * max(1.0, abs(mu)):
         z = (x - mu) / sigma
     else:

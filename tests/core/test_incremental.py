@@ -5,8 +5,8 @@ The contract under test: after any sequence of job ingests through
 health record are *byte-identical* to a cold pipeline built on the full
 dataset — on every executor, for every seed, and under chaos
 degradation.  Alongside the end-to-end identity: unit coverage of the
-ingest API's validation, the dirty-set handshake, ``split_tail``, the
-task-graph traversals, and the scoped cache eviction.
+ingest API's validation, the dirty-set handshake, ``split_tail``, and
+the scoped cache eviction.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import pytest
 
 from repro.core import AlgorithmSelector, ProductionLevel
 from repro.core.checkpoint import resume_pipeline
-from repro.core.parallel import Task, TaskGraph
 from repro.core.pipeline import HierarchicalDetectionPipeline, PipelineConfig
 from repro.io import reports_to_json
 from repro.plant import ChaosConfig, PlantConfig, inject_chaos, simulate_plant
@@ -316,41 +315,6 @@ class TestSplitTail:
     def test_negative_tail_rejected(self):
         with pytest.raises(ValueError):
             _plant(3).split_tail(-1)
-
-
-# ----------------------------------------------------------------------
-# task-graph traversals (the dirty-closure primitives)
-# ----------------------------------------------------------------------
-class TestGraphTraversals:
-    def _diamond(self) -> TaskGraph:
-        graph = TaskGraph()
-        graph.add(Task(key="a", payload=None))
-        graph.add(Task(key="b", payload=None, deps=("a",)))
-        graph.add(Task(key="c", payload=None, deps=("a",)))
-        graph.add(Task(key="d", payload=None, deps=("b", "c")))
-        graph.add(Task(key="e", payload=None))
-        return graph
-
-    def test_ancestors_transitive_in_insertion_order(self):
-        graph = self._diamond()
-        assert graph.ancestors("d") == ["a", "b", "c"]
-        assert graph.ancestors("b") == ["a"]
-        assert graph.ancestors("a") == []
-        assert graph.ancestors("e") == []
-
-    def test_descendants_transitive_in_insertion_order(self):
-        graph = self._diamond()
-        assert graph.descendants("a") == ["b", "c", "d"]
-        assert graph.descendants("b") == ["d"]
-        assert graph.descendants("d") == []
-        assert graph.descendants("e") == []
-
-    def test_unknown_key_raises(self):
-        graph = self._diamond()
-        with pytest.raises(KeyError):
-            graph.ancestors("nope")
-        with pytest.raises(KeyError):
-            graph.descendants("nope")
 
 
 # ----------------------------------------------------------------------

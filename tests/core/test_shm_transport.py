@@ -162,7 +162,7 @@ class TestPipelineTransport:
 
 class TestSpeedupDefinition:
     """`speedup` is measured-serial-baseline over wall — one definition
-    shared by BENCH_parallel and the manifest engine block."""
+    shared by the parallel-speedup bench and the manifest engine block."""
 
     def test_defaults_to_own_compute_seconds(self):
         stats = EngineStats(

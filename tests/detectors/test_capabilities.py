@@ -49,7 +49,10 @@ _TSS_ROWS = [e for e in TABLE1_ROWS if e.capabilities()[2]]
 @pytest.mark.parametrize("entry", _PTS_ROWS, ids=lambda e: e.name)
 def test_pts_checkmark_is_operational(entry):
     detector = entry.factory()
-    auc = roc_auc(_pts.labels, detector.fit_score(_pts.X))
+    scores = detector.fit_score(_pts.X)
+    assert scores.shape == (len(_pts.labels),)
+    assert np.isfinite(scores).all()
+    auc = roc_auc(_pts.labels, scores)
     assert auc > AUC_FLOOR, f"{entry.name} claims PTS but AUC={auc:.2f}"
 
 

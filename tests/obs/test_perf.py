@@ -1,4 +1,4 @@
-"""Performance plane: Chrome trace export, sampling profiler, perf diff."""
+"""Performance plane: Chrome trace export, sampling profiler, perf report."""
 
 from __future__ import annotations
 
@@ -16,9 +16,6 @@ from repro.obs import (
     TickClock,
     Tracer,
     chrome_trace_to_json,
-    diff_perf_metrics,
-    extract_perf_metrics,
-    iter_regressions,
     perf_report_rows,
     to_chrome_trace,
     validate_chrome_trace,
@@ -280,28 +277,6 @@ def _manifest_doc():
     }
 
 
-def _bench_doc(thread_wall):
-    return {
-        "schema": "repro.bench/2",
-        "meta": {"git_sha": "deadbeef", "cpu_count": 4},
-        "benches": {
-            "parallel_speedup": {
-                "text": "...",
-                "parsed": {
-                    "rows": [
-                        {"executor": "serial", "workers": 1, "tasks": 12,
-                         "wall_s": 1.0, "speedup": 1.0, "vs_serial": 1.0},
-                        {"executor": "thread", "workers": 4, "tasks": 12,
-                         "wall_s": thread_wall, "speedup": 2.5,
-                         "vs_serial": 2.5},
-                    ],
-                    "identical_reports": True,
-                },
-            }
-        },
-    }
-
-
 class TestPerfReport:
     def test_manifest_rows(self):
         rows = perf_report_rows(_manifest_doc(), top=1)
@@ -322,60 +297,6 @@ class TestPerfReport:
     def test_unknown_schema_rejected(self):
         with pytest.raises(ValueError, match="schema"):
             perf_report_rows({"schema": "bogus/1"})
-
-
-class TestPerfDiff:
-    def test_extract_from_bench_doc(self):
-        metrics = extract_perf_metrics(_bench_doc(0.4))
-        assert metrics == {
-            "parallel/serial/wall_s": 1.0,
-            "parallel/thread/wall_s": 0.4,
-        }
-
-    def test_extract_from_manifest(self):
-        metrics = extract_perf_metrics(_manifest_doc())
-        assert metrics["wall/total_seconds"] == 2.0
-        assert metrics["wall/level/PHASE"] == 1.5
-        assert metrics["engine/cpu_seconds"] == 1.5
-
-    def test_extract_rejects_unknown_schema(self):
-        with pytest.raises(ValueError):
-            extract_perf_metrics({"schema": "bogus/1"})
-
-    def test_regression_detected_past_ratio(self):
-        old = extract_perf_metrics(_bench_doc(0.4))
-        new = extract_perf_metrics(_bench_doc(0.9))
-        deltas = diff_perf_metrics(old, new, max_ratio=1.5)
-        regressed = {d.metric for d in iter_regressions(deltas)}
-        assert regressed == {"parallel/thread/wall_s"}
-
-    def test_within_ratio_passes(self):
-        old = extract_perf_metrics(_bench_doc(0.4))
-        new = extract_perf_metrics(_bench_doc(0.5))
-        assert iter_regressions(diff_perf_metrics(old, new, max_ratio=1.5)) == []
-
-    def test_threshold_prefix_override(self):
-        old = {"a/x": 1.0, "b/x": 1.0}
-        new = {"a/x": 1.8, "b/x": 1.8}
-        deltas = diff_perf_metrics(
-            old, new, max_ratio=1.5, thresholds={"a/": 2.0}
-        )
-        assert [d.regressed for d in deltas] == [False, True]
-
-    def test_min_value_noise_floor(self):
-        deltas = diff_perf_metrics(
-            {"m": 0.001}, {"m": 0.01}, max_ratio=1.5, min_value=0.1
-        )
-        assert iter_regressions(deltas) == []
-
-    def test_zero_baseline(self):
-        grown, flat = diff_perf_metrics({"m": 0.0, "n": 0.0}, {"m": 1.0, "n": 0.0})
-        assert grown.ratio == math.inf and grown.regressed
-        assert flat.ratio == 1.0 and not flat.regressed
-
-    def test_bad_ratio_rejected(self):
-        with pytest.raises(ValueError):
-            diff_perf_metrics({}, {}, max_ratio=0.0)
 
 
 class TestCaptureInvariance:
@@ -422,28 +343,6 @@ class TestPerfCli:
     def _write(self, path, doc):
         path.write_text(json.dumps(doc))
         return str(path)
-
-    def test_diff_exit_codes_on_synthetic_regression(self, tmp_path, capsys):
-        from repro.cli import main
-
-        base = self._write(tmp_path / "old.json", _bench_doc(0.4))
-        same = self._write(tmp_path / "new_ok.json", _bench_doc(0.45))
-        worse = self._write(tmp_path / "new_bad.json", _bench_doc(0.9))
-        assert main(["perf", "diff", base, same]) == 0
-        assert main(["perf", "diff", base, worse]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSED" in out
-        # a generous enough threshold accepts the same artifact pair
-        assert main(["perf", "diff", base, worse, "--max-ratio", "3.0"]) == 0
-
-    def test_diff_usage_errors(self, tmp_path, capsys):
-        from repro.cli import main
-
-        good = self._write(tmp_path / "a.json", _bench_doc(0.4))
-        bogus = self._write(tmp_path / "b.json", {"schema": "bogus/1"})
-        assert main(["perf", "diff", good, bogus]) == 2
-        assert main(["perf", "diff", good, good, "--threshold", "nope"]) == 2
-        capsys.readouterr()
 
     def test_report_prints_table(self, tmp_path, capsys):
         from repro.cli import main

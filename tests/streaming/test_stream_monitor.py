@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import CorrespondenceGraph
@@ -24,13 +25,17 @@ def interleave(**channels):
     return samples
 
 
+def process_fault_pair(rng, n, fault_at):
+    process = ar_process(n, rng, (0.5,), 0.5).values.copy()
+    process[fault_at] += 8.0  # real fault: both sensors see it
+    a = process + rng.normal(0, 0.1, n)
+    b = process + rng.normal(0, 0.1, n)
+    return a, b
+
+
 @pytest.fixture
 def process_fault_streams(rng):
-    process = ar_process(400, rng, (0.5,), 0.5).values.copy()
-    process[300] += 8.0  # real fault: both sensors see it
-    a = process + rng.normal(0, 0.1, 400)
-    b = process + rng.normal(0, 0.1, 400)
-    return a, b
+    return process_fault_pair(rng, 400, 300)
 
 
 @pytest.fixture
@@ -44,14 +49,21 @@ def sensor_fault_streams(rng):
 
 class TestEvents:
     def test_process_fault_supported(self, process_fault_streams):
-        a, b = process_fault_streams
-        monitor = StreamingSensorMonitor(pair_graph(), threshold=6.0)
-        monitor.observe_block(interleave(a=a, b=b))
-        events = monitor.reconsider_support()
-        at_fault = [e for e in events if abs(e.time - 300) <= 2]
-        assert at_fault, "fault not flagged"
-        assert all(e.support == 1.0 for e in at_fault)
-        assert not any(e.is_measurement_suspect for e in at_fault)
+        # (a, b, fault index, samples after it by which the fault must be
+        # flagged): the fixture's pair, and 4,000 samples of seed 11
+        cases = [
+            (*process_fault_streams, 300, 2),
+            (*process_fault_pair(np.random.default_rng(11), 4000, 3000), 3000, 1),
+        ]
+        for a, b, fault_at, latency in cases:
+            monitor = StreamingSensorMonitor(pair_graph(), threshold=6.0)
+            monitor.observe_block(interleave(a=a, b=b))
+            events = monitor.reconsider_support()
+            at_fault = [e for e in events if abs(e.time - fault_at) <= 2]
+            assert at_fault, "fault not flagged"
+            assert min(e.time for e in at_fault) <= fault_at + latency
+            assert all(e.support == 1.0 for e in at_fault)
+            assert not any(e.is_measurement_suspect for e in at_fault)
 
     def test_sensor_fault_unsupported(self, sensor_fault_streams):
         a, b = sensor_fault_streams
