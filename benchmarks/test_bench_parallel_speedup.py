@@ -76,6 +76,7 @@ def _format(rows, cores: int, identical: bool) -> str:
     process_engine = rows["process"][1]
     lines.append(
         "process transport: "
+        f"mode={process_engine.transport_mode} "
         f"bytes_pickled={process_engine.bytes_pickled} "
         f"bytes_shared={process_engine.bytes_shared} "
         f"encode_s={process_engine.transport_encode_seconds:.4f} "
@@ -107,8 +108,8 @@ def test_bench_parallel_speedup(emit):
     assert identical, "executors disagreed on the serialized reports"
 
     # wall-clock speedup is only provable with real parallel hardware;
-    # the gate is on the process executor — with batched kernels and the
-    # shared-memory transport it must beat serial
+    # the gate is on the process executor — with batched kernels and
+    # workers that inherit their payloads through fork it must beat serial
     if cores >= 2:
         threshold = float(os.environ.get("REPRO_BENCH_SPEEDUP_MIN", "1.5"))
         serial_wall = rows["serial"][0]

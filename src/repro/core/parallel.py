@@ -23,18 +23,18 @@ Design constraints, in order:
   the speedup over a measured serial baseline (None when a parallel run
   has none) the pipeline folds into metrics.
 
-The worker callable passed to :meth:`ParallelEngine.run` must be a
-module-level function (or a :func:`functools.partial` of one) when the
-``process`` executor is used — it crosses the pickle boundary.
+The ``process`` executor forks a pool per run, after the graph is final:
+workers inherit the worker callable and every payload, and only task keys
+cross the pool.  Without fork each payload is pickled once, in the caller.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, cast
 
 __all__ = [
     "Task",
@@ -151,10 +151,11 @@ class EngineStats:
     #: parallel legs).  Unset, a serial run is its own baseline and a
     #: parallel run has no :attr:`speedup`.
     serial_baseline_seconds: Optional[float] = None
-    #: Transport accounting (process executor): payload bytes that crossed
-    #: the pickle boundary vs. bytes served via the shared-memory arena,
-    #: plus the encode (publish) and per-task decode (attach+read) costs.
+    #: How payloads reached process workers: ``"fork"`` (inherited) or
+    #: ``"pickle"`` (no fork; also a serial run's), and the bytes pickled.
+    transport_mode: str = "pickle"
     bytes_pickled: int = 0
+    #: Only the retired shared-memory arena (``repro.core.shm``) filled these.
     bytes_shared: int = 0
     transport_encode_seconds: float = 0.0
     task_transport_seconds: Dict[str, float] = field(default_factory=dict)
@@ -188,7 +189,7 @@ class EngineStats:
 
     @property
     def transport_decode_seconds(self) -> float:
-        """Summed per-task shared-memory decode cost (0.0 off the shm path)."""
+        """Summed per-task shared-memory decode cost (0.0 since the arena retired)."""
         return float(sum(getattr(self, "task_transport_seconds", {}).values()))
 
     @property
@@ -243,7 +244,7 @@ class EngineStats:
             "cpu_utilization": self.cpu_utilization,
             "alloc_tracked": bool(getattr(self, "task_peak_alloc", {})),
             "transport": {
-                "mode": "shm" if getattr(self, "bytes_shared", 0) else "pickle",
+                "mode": self.transport_mode,
                 "bytes_pickled": int(getattr(self, "bytes_pickled", 0)),
                 "bytes_shared": int(getattr(self, "bytes_shared", 0)),
                 "encode_seconds": float(getattr(self, "transport_encode_seconds", 0.0)),
@@ -264,8 +265,8 @@ def _timed_call(
 ) -> Tuple[object, float, float, int]:
     """Run one task in the worker, timing it locally.
 
-    Module-level so it pickles for the process executor; timing inside
-    the worker keeps IPC/queue wait out of the compute-seconds estimate.
+    Timing inside the worker keeps IPC/queue wait (and, on the pickle
+    transport, payload decoding) out of the compute-seconds estimate.
     Returns ``(result, wall_seconds, cpu_seconds, peak_alloc_bytes)``;
     peak allocation is ``-1`` unless ``capture_alloc`` asked tracemalloc
     to watch the call (opt-in — tracing every allocation is far too slow
@@ -292,6 +293,33 @@ def _timed_call(
         if not tracing_already:
             tracemalloc.stop()
     return result, elapsed, cpu, peak
+
+
+def _fork_available() -> bool:
+    import multiprocessing
+
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+#: What a pool worker inherits from :func:`_install`: the run's worker
+#: callable and, under fork, every task payload by key.
+_inherited_worker: Optional[Callable[[object], object]] = None
+_inherited_payloads: Dict[str, object] = {}
+
+
+def _install(worker: Callable[[object], object], payloads: Dict[str, object]) -> None:
+    """Pool initializer: runs once in each worker before its first task."""
+    global _inherited_worker, _inherited_payloads
+    _inherited_worker, _inherited_payloads = worker, payloads
+
+
+def _pool_call(
+    key: str, blob: Optional[bytes], capture_alloc: bool
+) -> Tuple[object, float, float, int]:
+    """Run task ``key`` in a pool worker on its inherited (or pickled) payload."""
+    payload = _inherited_payloads[key] if blob is None else pickle.loads(blob)
+    worker = cast(Callable[[object], object], _inherited_worker)
+    return _timed_call(worker, payload, capture_alloc)
 
 
 class ParallelEngine:
@@ -370,30 +398,43 @@ class ParallelEngine:
         return results
 
     # -- process ------------------------------------------------------
-    def _make_pool(self):  # type: ignore[no-untyped-def]  # Executor
-        # The ONLY pool construction site in src/repro (repro-lint DET005).
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork keeps per-worker startup cheap (no re-import of numpy and
-        # the detector registry); fall back to the platform default where
-        # fork is unavailable (Windows / macOS spawn-only builds)
-        context = None
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-        return ProcessPoolExecutor(max_workers=self.workers, mp_context=context)
-
     def _run_pooled(
         self,
         graph: TaskGraph,
         worker: Callable[[object], object],
         stats: EngineStats,
     ) -> Dict[str, object]:
+        # Inheritance is exact because the pool lives for this run only: it
+        # forks after the graph is final, so every worker sees exactly this
+        # run's payloads, and it is joined before run() returns.  A pool
+        # kept across runs would serve the payloads of the run it forked in.
+        import multiprocessing
+        from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+
+        context = None
+        inherited = {t.key: t.payload for t in graph}
+        blobs: Dict[str, Optional[bytes]] = dict.fromkeys(inherited)
+        if _fork_available():
+            context = multiprocessing.get_context("fork")
+            stats.transport_mode = "fork"
+        else:
+            # the platform default start method: each payload leaves the
+            # initargs (such workers get them pickled whole) and is pickled
+            # once, here, so one that cannot be pickled raises first
+            for key in blobs:
+                blob = pickle.dumps(inherited.pop(key), protocol=pickle.HIGHEST_PROTOCOL)
+                blobs[key] = blob
+                stats.bytes_pickled += len(blob)
         results: Dict[str, object] = {}
         pending: Dict[str, set] = {t.key: set(t.deps) for t in graph}
-        tasks = {t.key: t for t in graph}
         in_flight: Dict[Future, str] = {}  # type: ignore[type-arg]
-        pool = self._make_pool()
+        # The ONLY pool construction site in src/repro (repro-lint DET005).
+        pool = ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=context,
+            initializer=_install,
+            initargs=(worker, inherited),
+        )
         try:
             while pending or in_flight:
                 ready = [k for k, deps in pending.items() if not deps]
@@ -403,7 +444,7 @@ class ParallelEngine:
                 for key in ready:
                     del pending[key]
                     future = pool.submit(
-                        _timed_call, worker, tasks[key].payload, self.capture_alloc
+                        _pool_call, key, blobs[key], self.capture_alloc
                     )
                     in_flight[future] = key
                 if not in_flight:

@@ -22,10 +22,9 @@ from __future__ import annotations
 import functools
 import math
 import os
-import pickle
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, cast
 
 import numpy as np
@@ -44,7 +43,6 @@ from .outlier import (
     OutlierCandidate,
     rank_reports,
 )
-from . import shm
 from .parallel import EngineStats, ParallelEngine, Task, TaskGraph
 from .resilience import (
     DetectorSandbox,
@@ -97,7 +95,6 @@ class PipelineConfig:
     sandbox: SandboxPolicy = SandboxPolicy()  # detector budget/retry policy
     executor: str = "serial"  # scoring DAG executor: serial | process
     max_workers: Optional[int] = None  # pool size; None = auto from CPU affinity
-    shm_transport: bool = True  # process executor: trace arrays via shared memory
     checkpoint_dir: Optional[str] = None  # snapshot store directory; None = off
     checkpoint_every: int = 1  # snapshot after every Nth refresh()
     checkpoint_retain: int = 3  # snapshot files kept on disk
@@ -329,9 +326,8 @@ class _ScoreTask:
     config: PipelineConfig
     telemetry_enabled: bool
     executor: str
-    #: Tuple of level inputs, or an ``shm.ShmPayload`` wrapping that tuple
-    #: when the shared-memory transport is active.
-    data: object
+    #: Tuple of level inputs.
+    data: Tuple[object, ...]
 
 
 @dataclass
@@ -344,9 +340,6 @@ class _TaskResult:
     spans: List[Dict[str, object]]
     output: object
     batch_groups: int = 0
-    #: Seconds this task spent attaching/reading shared-memory payloads
-    #: (0.0 on the pickle path).
-    transport_seconds: float = 0.0
 
 
 @dataclass
@@ -701,16 +694,13 @@ _TASK_RUNNERS: Dict[str, Callable[[_WorkerState, Tuple[object, ...]], object]] =
 def _run_scoring_task(
     task: _ScoreTask, clock: Optional[Callable[[], float]] = None
 ) -> _TaskResult:
-    """Execute one scoring task (module-level: crosses the pickle boundary).
+    """Execute one scoring task (module-level: process workers run it).
 
     The serial executor injects the run's shared telemetry clock;
     process workers fall back to ``time.monotonic`` and their span trees
     are grafted as roots (worker clocks are not comparable with an
-    injected main-process clock).  Shared-memory payloads are resolved
-    here, per task — no worker-global attachment cache — and the decode
-    cost ships back on the result for transport attribution.
+    injected main-process clock).
     """
-    data, transport_seconds, __ = shm.resolve_payload(task.data)
     tracer = Tracer(
         clock=clock if clock is not None else time.monotonic,
         enabled=task.telemetry_enabled,
@@ -730,7 +720,7 @@ def _run_scoring_task(
         executor=task.executor,
         worker=_worker_label(task.executor),
     ):
-        output = _TASK_RUNNERS[task.kind](state, cast(Tuple[object, ...], data))
+        output = _TASK_RUNNERS[task.kind](state, task.data)
     return _TaskResult(
         key=task.key,
         kind=task.kind,
@@ -738,33 +728,27 @@ def _run_scoring_task(
         spans=[s.as_dict() for s in tracer.spans],
         output=output,
         batch_groups=state.batch_groups,
-        transport_seconds=transport_seconds,
     )
 
 
-def _publish_graph_to_shm(graph: TaskGraph) -> Tuple[shm.ShmArena, TaskGraph]:
-    """Swap every task's trace arrays for shared-memory descriptors.
-
-    Publishes one arena for the whole graph and rebuilds the graph (same
-    keys, same deps, same insertion order) with descriptor payloads, so
-    only descriptors cross the process pool's pickle boundary.
-    """
-    payloads: Dict[str, object] = {}
-    for task in graph:
-        score_task = cast(_ScoreTask, task.payload)
-        payloads[task.key] = score_task.data
-    arena, encoded = shm.ShmArena.publish(payloads)
-    out = TaskGraph()
-    for task in graph:
-        score_task = cast(_ScoreTask, task.payload)
-        out.add(
-            Task(
-                key=task.key,
-                payload=replace(score_task, data=encoded[task.key]),
-                deps=task.deps,
-            )
-        )
-    return arena, out
+def _trace_at(
+    traces_by_channel: Dict[str, List[_Trace]],
+    starts_by_channel: Dict[str, List[float]],
+    channel_id: str,
+    time: float,
+) -> Optional[Tuple[np.ndarray, float, float, float]]:
+    """The scored trace of ``channel_id`` covering ``time``, if any
+    (support and environment confirmation look traces up through this)."""
+    traces = traces_by_channel.get(channel_id)
+    if not traces:
+        return None
+    # traces are sorted by start and non-overlapping per channel, so the
+    # rightmost trace starting at or before `time` is the only candidate
+    i = bisect_right(starts_by_channel[channel_id], time) - 1
+    if i >= 0 and traces[i].covers(time):
+        trace = traces[i]
+        return trace.scores, trace.threshold, trace.start, trace.step
+    return None
 
 
 class PlantHierarchyContext(HierarchyContext):
@@ -973,12 +957,7 @@ class PlantHierarchyContext(HierarchyContext):
                 self._assemble()
                 self._rebuild_health()
                 self._build_indexes()
-        self._support_calc = SupportCalculator(
-            self._graph,
-            self._lookup_trace,
-            tolerance=self.config.support_tolerance,
-            excluded=self.health.dead_channels,
-        )
+        self._build_support_calc()
         self._publish_engine_metrics()
         return self
 
@@ -1012,34 +991,21 @@ class PlantHierarchyContext(HierarchyContext):
                     functools.partial(_run_scoring_task, clock=self.telemetry.clock),
                 )
                 parent_id = outer_span.span_id if tracer.enabled else None
-            arena: Optional[shm.ShmArena] = None
-            run_graph = graph
-            if self.config.executor == "process" and self.config.shm_transport:
-                arena, run_graph = _publish_graph_to_shm(graph)
-            try:
-                results, engine_stats = engine.run(run_graph, worker)
-            finally:
-                if arena is not None:
-                    arena.dispose()
-            if arena is not None:
-                engine_stats.bytes_shared = arena.total_bytes
-                engine_stats.transport_encode_seconds = arena.encode_seconds
-            if self.config.executor == "process":
-                # what actually crossed the pickle boundary (descriptors
-                # only under shm transport; full trace arrays without it)
-                engine_stats.bytes_pickled = sum(
-                    len(pickle.dumps(task.payload, protocol=pickle.HIGHEST_PROTOCOL))
-                    for task in run_graph
-                )
-            self._engine_stats = engine_stats
+            results, self._engine_stats = engine.run(graph, worker)
             self._merge_results(results, parent_id)
             with tracer.span("pipeline.index"):
                 self._assemble()
                 self._rebuild_health()
                 self._build_indexes()
+        self._build_support_calc()
+
+    def _build_support_calc(self) -> None:
+        # The lookup closes over the trace dicts, not over ``self``: a bound
+        # method here would make every context a reference cycle that only
+        # the cyclic GC frees.
         self._support_calc = SupportCalculator(
             self._graph,
-            self._lookup_trace,
+            functools.partial(_trace_at, self._traces, self._trace_starts),
             tolerance=self.config.support_tolerance,
             # renormalized divisor: fully-quarantined channels do not vote
             excluded=self.health.dead_channels,
@@ -1240,10 +1206,6 @@ class PlantHierarchyContext(HierarchyContext):
             for event_kind, payload in result.events:
                 self._apply_event(event_kind, payload, health=False)
             self._batch_group_count += result.batch_groups
-            if result.transport_seconds:
-                self._engine_stats.task_transport_seconds[result.key] = (
-                    result.transport_seconds
-                )
             output = result.output
             events = list(result.events)
             if result.kind == "phase":
@@ -1608,14 +1570,14 @@ class PlantHierarchyContext(HierarchyContext):
         self._m_transport_bytes = m.gauge(
             "repro_transport_bytes",
             "Task-payload bytes moved per engine run, by transport mode "
-            "(pickled = crossed the pickle boundary, shared = read from the "
-            "shared-memory arena).",
+            "(pickled = crossed the pickle boundary, 0 when workers inherit "
+            "payloads by fork; shared = the retired shared-memory arena, 0).",
             labelnames=("mode",),
         )
         self._m_transport_overhead = m.gauge(
             "repro_transport_overhead_seconds",
-            "Transport overhead per engine run: arena publish (encode) "
-            "and summed worker-side payload rebuilds (decode).",
+            "Transport overhead per engine run of the retired shared-memory "
+            "arena: publish (encode) and worker-side rebuilds (decode); 0.",
             labelnames=("stage",),
         )
 
@@ -1959,20 +1921,6 @@ class PlantHierarchyContext(HierarchyContext):
     # ------------------------------------------------------------------
     # trace lookup (support + environment confirmation)
     # ------------------------------------------------------------------
-    def _lookup_trace(
-        self, channel_id: str, time: float
-    ) -> Optional[Tuple[np.ndarray, float, float, float]]:
-        traces = self._traces.get(channel_id)
-        if not traces:
-            return None
-        # traces are sorted by start and non-overlapping per channel, so the
-        # rightmost trace starting at or before `time` is the only candidate
-        i = bisect_right(self._trace_starts[channel_id], time) - 1
-        if i >= 0 and traces[i].covers(time):
-            trace = traces[i]
-            return trace.scores, trace.threshold, trace.start, trace.step
-        return None
-
     def _candidate_time(self, candidate: OutlierCandidate) -> Optional[float]:
         self._stats.candidate_time_calls += 1
         key = candidate.key
@@ -2228,7 +2176,7 @@ class PlantHierarchyContext(HierarchyContext):
         best = 0.0
         detected = False
         for channel_id in self._env_channels[line.line_id]:
-            entry = self._lookup_trace(channel_id, time)
+            entry = _trace_at(self._traces, self._trace_starts, channel_id, time)
             if entry is None:
                 continue
             scores, threshold, start, step = entry

@@ -1,32 +1,25 @@
-"""Zero-copy shared-memory transport for process-executor task payloads.
+"""Zero-copy shared-memory arena for task payloads, unused by the pipeline.
 
-The process executor ships every task across a pickle boundary.  Trace
-payloads are almost entirely numpy arrays, so pickling re-serializes the
-same float64 samples per task and pushes them through a pipe.  This
-module publishes those arrays **once** into a ``multiprocessing``
-shared-memory block and replaces them in the payload with tiny
-``(dtype, shape, offset)`` descriptors; workers attach the block, read
-the samples straight out of ``/dev/shm``, and only the descriptors ever
-cross the pickle boundary.
+Process workers now inherit their payloads through fork (DESIGN §12), so
+nothing in ``src`` publishes here.  The module stays while the repo's
+benchmark traces :meth:`ShmArena.publish` / :meth:`ShmArena.dispose` for
+its ``shm.*`` rows (which now read 0), and goes with them.
 
-Lifecycle (DESIGN §12):
+An arena publishes a payload's numpy arrays **once** into one
+``multiprocessing`` shared-memory block and replaces them with tiny
+``(dtype, shape, offset)`` descriptors; :func:`resolve_payload` attaches
+the block and copies them back out.  Lifecycle:
 
-* the pipeline builds one :class:`ShmArena` per engine run (process
-  executor only) and disposes it in the same ``finally`` that joins the
-  pool — the arena never outlives its :class:`~.parallel.ParallelEngine`
-  run;
-* block names are deterministic (``repro_shm_<pid>_<seq>``), so a run
-  can be correlated with its segments while debugging;
-* every attach — creator and workers alike — registers the block with
-  the ``multiprocessing.resource_tracker``.  Under the fork start method
-  the tracker process is shared, so if the whole process tree dies by
-  SIGKILL the tracker sees EOF on its pipe and unlinks the segments:
-  no leaked ``/dev/shm`` entries even on a crash (the PR-7 chaos suite
-  asserts this).
+* its creator disposes an arena (idempotently) once the readers are done;
+* block names are deterministic (``repro_shm_<pid>_<seq>``);
+* every attach registers the block with the
+  ``multiprocessing.resource_tracker``, so if the whole process tree dies
+  by SIGKILL the tracker unlinks the segments: no leaked ``/dev/shm``
+  entries even on a crash.
 
 This is the ONLY module allowed to construct ``SharedMemory`` objects
 (repro-lint HYG004), mirroring the single-pool-construction-site rule
-DET005 — lifecycle bugs stay findable in one file.
+DET005.
 """
 
 from __future__ import annotations

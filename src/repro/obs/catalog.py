@@ -234,19 +234,19 @@ METRIC_CATALOG: Dict[str, MetricSpec] = {
         labels=(),
         help="Stack samples captured by the opt-in sampling profiler.",
     ),
-    # -- zero-copy transport (repro.core.shm + process executor) --------
+    # -- task transport (process executor) -------------------------------
     "repro_transport_bytes": MetricSpec(
         kind="gauge",
         labels=("mode",),
         help="Task-payload bytes moved per engine run, by transport mode "
-        "(pickled = crossed the pickle boundary, shared = read from the "
-        "shared-memory arena).",
+        "(pickled = crossed the pickle boundary, 0 when workers inherit "
+        "payloads by fork; shared = the retired shared-memory arena, 0).",
     ),
     "repro_transport_overhead_seconds": MetricSpec(
         kind="gauge",
         labels=("stage",),
-        help="Transport overhead per engine run: arena publish (encode) "
-        "and summed worker-side payload rebuilds (decode).",
+        help="Transport overhead per engine run of the retired shared-memory "
+        "arena: publish (encode) and worker-side rebuilds (decode); 0.",
     ),
     # -- alerting (repro.monitor.alerts) -------------------------------
     "repro_alerts_total": MetricSpec(

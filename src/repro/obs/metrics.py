@@ -352,17 +352,17 @@ class MetricsRegistry:
         Leaves become ``<prefix>_<path>`` gauges with one underscore-joined
         gauge per numeric/bool leaf; non-numeric leaves are skipped.
         """
-        def walk(node: Dict[str, object], path: Tuple[str, ...]) -> None:
-            for key in sorted(node):
-                value = node[key]
-                if isinstance(value, dict):
-                    walk(value, path + (str(key),))
-                elif isinstance(value, bool):
-                    name = "_".join((prefix,) + path + (str(key),))
-                    self.gauge(name).set(1.0 if value else 0.0)
-                elif isinstance(value, (int, float)):
-                    name = "_".join((prefix,) + path + (str(key),))
-                    self.gauge(name).set(float(value))
-
         if self.enabled:
-            walk(tree, ())
+            self._import_node((prefix,), tree)
+
+    def _import_node(self, path: Tuple[str, ...], node: Dict[str, object]) -> None:
+        # a method, not a recursive closure: a closure that calls itself is
+        # a reference cycle that would pin this registry until the cyclic GC
+        for key in sorted(node):
+            value = node[key]
+            if isinstance(value, dict):
+                self._import_node(path + (str(key),), value)
+            elif isinstance(value, bool):
+                self.gauge("_".join(path + (str(key),))).set(1.0 if value else 0.0)
+            elif isinstance(value, (int, float)):
+                self.gauge("_".join(path + (str(key),))).set(float(value))

@@ -128,6 +128,9 @@ class Span:
         if tracer is not None:
             self.end = tracer._clock()
             tracer._stack.pop()
+            # a closed span no longer needs its tracer; keeping it would
+            # make every tracer a reference cycle through its own spans
+            self._tracer = None
         return False  # never swallow the exception
 
 

@@ -12,7 +12,9 @@ the scoped cache eviction.
 from __future__ import annotations
 
 import functools
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -228,6 +230,31 @@ class TestIncrementalByteIdentity:
             f"phase/{machine_id}", "job", f"line/{line_id}", "production",
         ]
         assert summary["dirty_tasks"] < n_total_tasks
+
+
+class TestDroppedPipeline:
+    @pytest.mark.parametrize("executor", ("serial", "process"))
+    def test_freed_without_the_cyclic_gc(self, executor):
+        # reference counting alone must free a dropped pipeline: one held
+        # in a reference cycle keeps its traces and spans until a GC pass
+        workers = {} if executor == "serial" else {"max_workers": 2}
+        base, arrivals = _plant(3).split_tail(1)
+        gc.disable()
+        try:
+            pipeline = HierarchicalDetectionPipeline(
+                base, config=PipelineConfig(executor=executor, **workers)
+            )
+            pipeline.run()
+            machine_id, job = arrivals[0]
+            pipeline.ingest_job(machine_id, job)
+            pipeline.run()
+            dropped = weakref.ref(pipeline)
+            context = weakref.ref(pipeline.context)
+            del pipeline
+            assert dropped() is None
+            assert context() is None
+        finally:
+            gc.enable()
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,18 @@ rejection) and the stats the pipeline folds into metrics.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import pathlib
+import pickle
+import signal
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+from repro.core import parallel
 from repro.core.parallel import (
     EXECUTORS,
     EngineStats,
@@ -20,10 +30,30 @@ from repro.core.parallel import (
     resolve_workers,
 )
 
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+#: values of the :class:`_Recorded` payloads pickled in this process
+_PICKLED = []
+
+
+class _Recorded:
+    """A payload that records, in the process pickling it, each time it is."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __reduce__(self):
+        _PICKLED.append(self.value)
+        return (_Recorded, (self.value,))
+
 
 def _square(payload):
-    # module-level so it crosses the process-executor pickle boundary
+    # module-level so it crosses the pickle boundary where fork is missing
     return payload * payload
+
+
+def _square_recorded(payload):
+    return payload.value * payload.value
 
 
 def _fail_on_three(payload):
@@ -142,3 +172,91 @@ class TestEngineStats:
 
         doc = EngineStats(executor="serial", workers=1).as_dict()
         assert json.loads(json.dumps(doc)) == doc
+
+
+def _recorded_diamond() -> TaskGraph:
+    graph = TaskGraph()
+    for task in _diamond_graph():
+        graph.add(Task(key=task.key, payload=_Recorded(task.payload), deps=task.deps))
+    return graph
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    """Force the transport of platforms without fork (no config option)."""
+    monkeypatch.setattr(parallel, "_fork_available", lambda: False)
+
+
+class TestTransport:
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_fork_pickles_no_payload(self):
+        _PICKLED.clear()
+        results, stats = ParallelEngine("process", max_workers=2).run(
+            _recorded_diamond(), _square_recorded
+        )
+        assert _PICKLED == []  # the workers inherited all four payloads
+        assert list(results) == ["a", "b", "c", "d"]
+        assert results == {"a": 4, "b": 9, "c": 16, "d": 25}
+        assert stats.transport_mode == "fork"
+        assert stats.bytes_pickled == 0
+        assert stats.as_dict()["transport"]["mode"] == "fork"
+
+    def test_pickle_path_matches_serial(self, no_fork):
+        graph = _recorded_diamond()
+        serial, __ = ParallelEngine("serial").run(graph, _square_recorded)
+        payload_bytes = sum(
+            len(pickle.dumps(t.payload, protocol=pickle.HIGHEST_PROTOCOL)) for t in graph
+        )
+        _PICKLED.clear()
+        results, stats = ParallelEngine("process", max_workers=2).run(
+            graph, _square_recorded
+        )
+        assert sorted(_PICKLED) == [2, 3, 4, 5]  # each payload pickled once
+        assert list(results) == list(serial)
+        assert results == serial
+        assert stats.as_dict()["transport"]["mode"] == "pickle"
+        assert stats.bytes_pickled == payload_bytes
+
+    def test_pickle_path_raises_on_an_unpicklable_payload(self, tmp_path):
+        # in a child process in a new process group: an engine that hangs on
+        # this graph fails the test on timeout instead of hanging the
+        # suite, and killing the group reaps any pool workers it left
+        script = tmp_path / "unpicklable.py"
+        script.write_text(textwrap.dedent('''
+            import pickle
+            from repro.core import parallel
+
+            class Unpicklable:
+                def __reduce__(self):
+                    raise pickle.PicklingError("this payload does not pickle")
+
+            parallel._fork_available = lambda: False
+            graph = parallel.TaskGraph()
+            graph.add(parallel.Task(key="ok", payload=1))
+            graph.add(parallel.Task(key="bad", payload=Unpicklable()))
+            try:
+                parallel.ParallelEngine("process", max_workers=2).run(graph, abs)
+            except pickle.PicklingError as exc:
+                # a pool relays a pickling error from its feeder thread
+                # with the remote traceback as the cause
+                print("raised:", exc, "| relayed:", exc.__cause__ is not None)
+        '''))
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        child = subprocess.Popen(
+            [sys.executable, str(script)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            out, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("the engine hung on an unpicklable payload")
+        assert child.returncode == 0, err
+        assert out.strip() == "raised: this payload does not pickle | relayed: False"

@@ -1,15 +1,18 @@
-"""Shared-memory transport suite.
+"""Task-transport suite.
 
-Covers the arena round trip (fidelity, dedup, alignment, lifecycle),
-the pipeline integration (process + shm stays byte-identical with
-serial while pickling an order of magnitude fewer bytes), the measured
-serial-baseline speedup definition, and segment hygiene — including the
-resource-tracker cleanup path when the owning process dies by SIGKILL.
+Covers the pipeline's two process transports (fork inheritance, and
+pickling where fork is missing) — both byte-identical with serial — the
+measured serial-baseline speedup definition, and the shared-memory arena
+``repro.core.shm``, which the pipeline no longer uses but which stays as
+long as perfbench traces it: its round trip (fidelity, dedup, alignment,
+lifecycle) and segment hygiene, including the resource-tracker cleanup
+path when the owning process dies by SIGKILL.
 """
 
 from __future__ import annotations
 
 import glob
+import multiprocessing
 import os
 import pathlib
 import re
@@ -21,7 +24,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import shm
+from repro.core import parallel, shm
 from repro.core.parallel import EngineStats
 from repro.core.pipeline import HierarchicalDetectionPipeline, PipelineConfig
 from repro.io import reports_to_json
@@ -125,30 +128,30 @@ class TestArenaRoundTrip:
 
 
 class TestPipelineTransport:
-    def test_process_shm_byte_identical_with_serial(self):
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_process_fork_byte_identical_with_serial(self):
         __, baseline = _run(_plant(3), executor="serial")
         proc, forked = _run(_plant(3), executor="process", max_workers=2)
         assert forked == baseline
         es = proc.context.engine_stats()
-        assert es.bytes_shared > 0
-        assert 0 < es.bytes_pickled < es.bytes_shared
-        assert es.transport_encode_seconds >= 0.0
-        # every scored task attached and decoded its payload
-        assert set(es.task_transport_seconds) == set(es.task_seconds)
-        assert es.as_dict()["transport"]["mode"] == "shm"
+        # the workers inherited every payload: nothing pickled, nothing shared
+        assert es.bytes_pickled == 0
+        assert es.bytes_shared == 0
+        assert es.as_dict()["transport"]["mode"] == "fork"
         assert _leaked_segments() == []
 
-    def test_shm_off_pickles_the_full_payload(self):
+    def test_pickle_transport_byte_identical_with_serial(self, monkeypatch):
+        # the transport of platforms without fork, forced
+        monkeypatch.setattr(parallel, "_fork_available", lambda: False)
         __, baseline = _run(_plant(3), executor="serial")
-        proc, forked = _run(
-            _plant(3), executor="process", max_workers=2, shm_transport=False
-        )
-        assert forked == baseline
+        proc, copied = _run(_plant(3), executor="process", max_workers=2)
+        assert copied == baseline
         es = proc.context.engine_stats()
-        assert es.bytes_shared == 0
-        assert es.task_transport_seconds == {}
         assert es.as_dict()["transport"]["mode"] == "pickle"
-        # the arrays themselves now cross the pickle boundary (this
+        assert es.bytes_shared == 0
+        # the trace arrays themselves cross the pickle boundary (this
         # plant's trace payloads alone exceed 100 kB)
         assert es.bytes_pickled > 100_000
 

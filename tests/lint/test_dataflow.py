@@ -71,7 +71,8 @@ class TestEntryPointDiscovery:
         model = _real_model()
         entries = set(model.entry_points)
         # the engine's pool submission target is always an entry point
-        assert "repro.core.parallel._timed_call" in entries
+        assert "repro.core.parallel._pool_call" in entries
+        assert "repro.core.parallel._timed_call" in model.worker_reachable
         # every _TASK_RUNNERS dispatch value is an entry point
         runners = {e for e in entries if e.startswith("repro.core.pipeline._run_")}
         assert len(runners) >= 5, sorted(entries)

@@ -26,6 +26,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 FORBIDDEN = (
     "scipy", "networkx", "repro.corpus", "repro.eval", "repro.monitor",
     "repro.streaming", "repro.sanitize", "tools.lint",
+    "repro.core.shm", "multiprocessing.shared_memory",
 )
 #: repro's own import plus everything it pulls in, as a multiple of numpy's
 BUDGET = 3.0
