@@ -93,7 +93,7 @@ class PipelineConfig:
     gate_enabled: bool = True  # data-quality gate + trace repair/quarantine
     quality: QualityPolicy = QualityPolicy()  # gate thresholds
     sandbox: SandboxPolicy = SandboxPolicy()  # detector budget/retry policy
-    executor: str = "serial"  # scoring DAG executor: serial | process
+    executor: str = "serial"  # cold-build scoring DAG executor; refreshes run inline
     max_workers: Optional[int] = None  # pool size; None = auto from CPU affinity
     checkpoint_dir: Optional[str] = None  # snapshot store directory; None = off
     checkpoint_every: int = 1  # snapshot after every Nth refresh()
@@ -325,7 +325,6 @@ class _ScoreTask:
     chain: Tuple[str, ...]
     config: PipelineConfig
     telemetry_enabled: bool
-    executor: str
     #: Tuple of level inputs.
     data: Tuple[object, ...]
 
@@ -692,11 +691,12 @@ _TASK_RUNNERS: Dict[str, Callable[[_WorkerState, Tuple[object, ...]], object]] =
 
 
 def _run_scoring_task(
-    task: _ScoreTask, clock: Optional[Callable[[], float]] = None
+    task: _ScoreTask, executor: str, clock: Optional[Callable[[], float]] = None
 ) -> _TaskResult:
     """Execute one scoring task (module-level: process workers run it).
 
-    The serial executor injects the run's shared telemetry clock;
+    The task root span names ``executor``, the running engine's, and the
+    worker.  The serial executor injects the run's shared telemetry clock;
     process workers fall back to ``time.monotonic`` and their span trees
     are grafted as roots (worker clocks are not comparable with an
     injected main-process clock).
@@ -717,8 +717,8 @@ def _run_scoring_task(
         f"score.{task.level.name}",
         level=task.level.name,
         task=task.key,
-        executor=task.executor,
-        worker=_worker_label(task.executor),
+        executor=executor,
+        worker=_worker_label(executor),
     ):
         output = _TASK_RUNNERS[task.kind](state, task.data)
     return _TaskResult(
@@ -762,7 +762,7 @@ class PlantHierarchyContext(HierarchyContext):
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self._init_state(dataset, selector, config, telemetry)
-        self._execute("pipeline.build", self._build_task_graph())
+        self._execute("pipeline.build", self._build_task_graph(), self.config.executor)
         self._publish_engine_metrics()
 
     def _init_state(
@@ -961,37 +961,31 @@ class PlantHierarchyContext(HierarchyContext):
         self._publish_engine_metrics()
         return self
 
-    def _execute(self, span_name: str, graph: TaskGraph) -> None:
-        """Run one task graph and fold its results into the context.
+    def _execute(self, span_name: str, graph: TaskGraph, executor: str) -> None:
+        """Run one task graph on ``executor`` and fold its results in.
 
-        Shared by the cold build (the full level DAG) and :meth:`refresh`
-        (the dirty subgraph): runs the engine, stores per-task outputs and
-        event lists, reassembles the derived stores, rebuilds the health
-        record by canonical event replay, and re-derives the indexes and
-        the support calculator.
+        Shared by the cold build (the full level DAG, on the configured
+        executor) and :meth:`refresh` (the dirty subgraph, always
+        ``"serial"``): runs the engine, stores per-task outputs and event
+        lists, reassembles the derived stores, rebuilds the health record
+        by canonical event replay, and re-derives the indexes and the
+        support calculator.
         """
         tracer = self.telemetry.tracer
-        with tracer.span(span_name, executor=self.config.executor) as outer_span:
+        with tracer.span(span_name, executor=executor) as outer_span:
             engine = ParallelEngine(
-                self.config.executor,
-                self.config.max_workers,
-                capture_alloc=self.config.perf_alloc,
+                executor, self.config.max_workers, capture_alloc=self.config.perf_alloc
             )
-            if self.config.executor == "process":
-                # worker clocks are not comparable with an injected
-                # main-process clock: ship the bare worker and graft the
-                # returned span trees as roots
-                worker: Callable[[object], object] = cast(
-                    Callable[[object], object], _run_scoring_task
-                )
-                parent_id: Optional[int] = None
-            else:
-                worker = cast(
-                    Callable[[object], object],
-                    functools.partial(_run_scoring_task, clock=self.telemetry.clock),
-                )
-                parent_id = outer_span.span_id if tracer.enabled else None
-            results, self._engine_stats = engine.run(graph, worker)
+            # process workers' clocks are not comparable with the injected
+            # main-process clock: they keep their own, and their span trees
+            # graft as roots
+            pooled = executor == "process"
+            worker = functools.partial(
+                _run_scoring_task, executor=executor,
+                clock=None if pooled else self.telemetry.clock,
+            )
+            parent_id = None if pooled or not tracer.enabled else outer_span.span_id
+            results, self._engine_stats = engine.run(graph, cast(Callable[[object], object], worker))
             self._merge_results(results, parent_id)
             with tracer.span("pipeline.index"):
                 self._assemble()
@@ -1113,7 +1107,6 @@ class PlantHierarchyContext(HierarchyContext):
                         chain=tuple(self.selector.fallback_chain(level)),
                         config=cfg,
                         telemetry_enabled=enabled,
-                        executor=cfg.executor,
                         data=data,
                     ),
                 )
@@ -1432,11 +1425,13 @@ class PlantHierarchyContext(HierarchyContext):
             raise ValueError(f"unknown task event {kind!r}")
 
     def engine_stats(self) -> EngineStats:
-        """Execution-engine cost of the scoring DAG (executor, timings)."""
+        """Execution-engine cost of the last engine run: the cold build, on
+        the configured executor, or the latest :meth:`refresh`, always serial."""
         return self._engine_stats
 
     def _publish_engine_metrics(self) -> None:
-        """Emit the engine's cost counters (once, at construction time)."""
+        """Emit the cost counters of the last engine run (after the cold
+        build, a snapshot restore and every refresh)."""
         es = self._engine_stats
         counts: Dict[str, int] = {}
         latencies: Dict[str, List[float]] = {}
@@ -1678,10 +1673,10 @@ class PlantHierarchyContext(HierarchyContext):
         :meth:`~repro.plant.PlantDataset.ingest_job`), maps every dirty
         job to its task-DAG closure — its machine's phase task, the
         ``job`` table, its line's jobs-over-time task, and ``production``
-        — re-runs exactly those tasks on the configured executor, and
-        reassembles the derived state from the persisted outputs of every
-        untouched task.  The
-        phase task scores only the machine's jobs its stored outputs do
+        — re-runs exactly those tasks inline on the serial engine,
+        whatever the configured executor (DESIGN §10), and reassembles the
+        derived state from the persisted outputs of every untouched task.
+        The phase task scores only the machine's jobs its stored outputs do
         not cover yet (the newly ingested ones) and its outputs are
         appended; the vector tasks rescore every job.  Cache entries are
         then evicted *scoped*: only what the dirty subgraph can have
@@ -1690,12 +1685,14 @@ class PlantHierarchyContext(HierarchyContext):
         The contract is the one the parallel engine established: after a
         refresh, reports and health are byte-identical to a cold build on
         the mutated dataset, on every executor.  Returns a summary dict
-        (dirty jobs/tasks, evicted/retained cache entries, engine wall
-        seconds).
+        (dirty jobs/tasks and their keys, evicted/retained cache entries,
+        engine wall seconds); with nothing ingested it has the same keys,
+        empty or zero.
         """
         dirty = self.dataset.consume_dirty()
         if not dirty:
-            return {"dirty_jobs": 0, "dirty_tasks": 0, "evicted": {}, "retained": {}}
+            return {"dirty_jobs": 0, "dirty_tasks": 0, "task_keys": [], "evicted": {},
+                    "retained": {}, "wall_seconds": 0.0}
         self._ensure_incremental_instruments()
         dirty_machines: List[str] = []
         for machine_id, __ in dirty:
@@ -1713,7 +1710,7 @@ class PlantHierarchyContext(HierarchyContext):
             closure.add(f"phase/{machine_id}")
             closure.add(f"line/{self.dataset.line_of(machine_id).line_id}")
         graph = self._build_task_graph(only=closure)
-        self._execute("pipeline.refresh", graph)
+        self._execute("pipeline.refresh", graph, "serial")
         self._publish_engine_metrics()
         phase_changed = not np.array_equal(
             old_phase_scores, self._phase_scores_sorted

@@ -20,8 +20,10 @@ import pytest
 
 from repro.core import AlgorithmSelector, ProductionLevel
 from repro.core.checkpoint import resume_pipeline
+from repro.core.parallel import ParallelEngine
 from repro.core.pipeline import HierarchicalDetectionPipeline, PipelineConfig
 from repro.io import reports_to_json
+from repro.obs import to_chrome_trace, validate_chrome_trace
 from repro.plant import ChaosConfig, PlantConfig, inject_chaos, simulate_plant
 
 SEEDS = (3, 11, 29)
@@ -42,6 +44,10 @@ def _chaotic(seed: int):
 
 def _doc(pipeline) -> str:
     return reports_to_json(pipeline.run(), health=pipeline.health)
+
+
+def _full_doc(pipeline) -> str:
+    return reports_to_json(pipeline.run(), health=pipeline.health, stats=pipeline.stats())
 
 
 def _replay(dataset, tail: int, **config):
@@ -232,6 +238,62 @@ class TestIncrementalByteIdentity:
         assert summary["dirty_tasks"] < n_total_tasks
 
 
+class TestRefreshRunsInline:
+    """A refresh scores its dirty closure in the calling process, whatever
+    the configured executor; only the cold build uses the process pool."""
+
+    def test_process_pipeline_refreshes_without_a_pool(self, monkeypatch):
+        full = _plant(3)
+        base, arrivals = full.split_tail(2)
+        pipeline = HierarchicalDetectionPipeline(
+            base, config=PipelineConfig(executor="process", max_workers=2)
+        )
+        n_cold_tasks = pipeline.context.engine_stats().n_tasks
+        tracer = pipeline.telemetry.tracer
+        n_cold_spans = len(tracer.spans)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a refresh forked a worker pool")
+
+        monkeypatch.setattr(ParallelEngine, "_run_pooled", no_pool)
+        summaries = [pipeline.ingest_job(*arrival) for arrival in arrivals]
+        serial, __ = _replay(full, tail=2)
+        assert _full_doc(pipeline) == _full_doc(serial)
+        assert _doc(pipeline) == _doc(HierarchicalDetectionPipeline(full))
+        engine = pipeline.context.engine_stats()
+        assert (engine.executor, engine.workers) == ("serial", 1)
+        workers = pipeline.telemetry.metrics.get("repro_parallel_workers").samples()
+        assert workers == [((("executor", "process"),), 2.0), ((("executor", "serial"),), 1.0)]
+
+        by_id = {span.span_id: span for span in tracer.spans}
+        task_roots = [
+            span for span in tracer.spans[n_cold_spans:] if "task" in span.attributes
+        ]
+        assert len(task_roots) == sum(s["dirty_tasks"] for s in summaries)
+        for span in task_roots:
+            assert span.name.startswith("score.")
+            assert (span.attributes["executor"], span.attributes["worker"]) == (
+                "serial", "main",
+            )
+            parent = by_id[span.parent_id]
+            assert parent.name == "pipeline.refresh"
+            assert parent.attributes["executor"] == "serial"
+
+        doc = to_chrome_trace(tracer)
+        assert validate_chrome_trace(doc) == []
+        task_begins = [
+            event for event in doc["traceEvents"]
+            if event["ph"] == "B" and "task" in event["args"]
+        ]
+        # the exporter gives the main lane the synthetic pid 1
+        on_main = [event for event in task_begins if event["pid"] == 1]
+        on_workers = [event for event in task_begins if event["pid"] != 1]
+        assert len(on_main) == len(task_roots)
+        assert len(on_workers) == n_cold_tasks
+        for event in on_workers:
+            assert event["args"]["worker"] == f"pid-{event['pid']}"
+
+
 class TestDroppedPipeline:
     @pytest.mark.parametrize("executor", ("serial", "process"))
     def test_freed_without_the_cyclic_gc(self, executor):
@@ -302,12 +364,16 @@ class TestIngestValidation:
         assert base.job(machine_id, job.job_index) is job
 
     def test_refresh_without_ingests_is_a_noop(self):
-        pipeline = HierarchicalDetectionPipeline(_plant(3))
+        base, arrivals = _plant(3).split_tail(1)
+        pipeline = HierarchicalDetectionPipeline(base)
         before = _doc(pipeline)
         summary = pipeline.refresh()
         assert summary["dirty_jobs"] == 0 and summary["dirty_tasks"] == 0
+        assert summary["task_keys"] == [] and summary["wall_seconds"] == 0.0
         assert _doc(pipeline) == before
         assert pipeline.stats()["incremental"]["refreshes"] == 0
+        # callers read one summary shape, whether or not anything was ingested
+        assert summary.keys() == pipeline.ingest_job(*arrivals[0]).keys()
 
 
 class TestSplitTail:
