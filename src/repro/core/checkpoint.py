@@ -2,7 +2,7 @@
 
 An industrial monitor gets OOM-killed and rebooted mid-shift; restarting
 must not cost a full re-scan of plant history.  This module snapshots
-everything a :class:`~repro.core.pipeline.PlantHierarchyContext` cannot
+everything a :class:`~repro.core.context.PlantHierarchyContext` cannot
 cheaply re-derive — the per-task persisted outputs and replayable event
 lists, the confirmation/support/candidate memo caches, the incremental
 counters, and the plant ingest *watermark* — so a restarted worker
@@ -407,9 +407,7 @@ class CheckpointManager:
                 "watermark": watermark,
                 "extra": dict(self.extra_meta),
             },
-            "tasks": context._snapshot_task_state(),
-            "caches": context._snapshot_cache_state(),
-            "incremental": context._snapshot_incremental_state(),
+            **context._snapshot_sections(),
             "health": context.health.as_dict(),
         }
         if self.stream_monitor is not None:

@@ -6,7 +6,7 @@ plant run decomposes naturally into a small DAG — phase scoring per
 machine, environment scoring per line, the global job table, the per-line
 jobs-over-time matrices, and the production panel — and the tasks inside
 one level are embarrassingly parallel.  This module provides the generic
-machinery; :mod:`repro.core.pipeline` builds the concrete graph.
+machinery; :mod:`repro.core.runner` builds the concrete graph.
 
 Design constraints, in order:
 
@@ -133,9 +133,10 @@ class EngineStats:
     allocation inside each task.  All of it is measured *inside* the
     worker, so IPC and queue wait never pollute the attribution.
 
-    Instances travel inside checkpoint snapshots; accessors tolerate
-    unpickled instances from snapshots taken before the CPU/allocation
-    fields existed.
+    Instances travel inside checkpoint snapshots, and several fields were
+    added without a snapshot version bump: an instance unpickled from an
+    older snapshot takes each missing scalar from its class-level default
+    and each missing dict from :meth:`__setstate__`.
     """
 
     executor: str
@@ -160,6 +161,11 @@ class EngineStats:
     transport_encode_seconds: float = 0.0
     task_transport_seconds: Dict[str, float] = field(default_factory=dict)
 
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        for name in ("task_cpu_seconds", "task_peak_alloc", "task_transport_seconds"):
+            self.__dict__.setdefault(name, {})
+
     @property
     def compute_seconds(self) -> float:
         """Summed in-worker task latencies (the serial-equivalent cost)."""
@@ -178,7 +184,7 @@ class EngineStats:
         baseline (workers that share cores each run slower), so dividing
         them by wall would overstate the gain.
         """
-        baseline = getattr(self, "serial_baseline_seconds", None)
+        baseline = self.serial_baseline_seconds
         if baseline is None:
             if self.executor != "serial":
                 return None
@@ -190,12 +196,12 @@ class EngineStats:
     @property
     def transport_decode_seconds(self) -> float:
         """Summed per-task shared-memory decode cost (0.0 since the arena retired)."""
-        return float(sum(getattr(self, "task_transport_seconds", {}).values()))
+        return float(sum(self.task_transport_seconds.values()))
 
     @property
     def cpu_seconds(self) -> float:
         """Summed in-worker CPU seconds across all tasks."""
-        return float(sum(getattr(self, "task_cpu_seconds", {}).values()))
+        return float(sum(self.task_cpu_seconds.values()))
 
     @property
     def cpu_utilization(self) -> float:
@@ -211,8 +217,8 @@ class EngineStats:
         wall seconds, plus ``cpu_seconds`` / ``peak_alloc_bytes`` where
         captured.
         """
-        cpu = getattr(self, "task_cpu_seconds", {})
-        alloc = getattr(self, "task_peak_alloc", {})
+        cpu = self.task_cpu_seconds
+        alloc = self.task_peak_alloc
         ordered = sorted(self.task_seconds.items(), key=lambda kv: (-kv[1], kv[0]))
         rows: List[Dict[str, object]] = []
         for key, wall in ordered[: max(0, int(k))]:
@@ -230,7 +236,7 @@ class EngineStats:
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-safe summary for run manifests."""
-        baseline = getattr(self, "serial_baseline_seconds", None)
+        baseline = self.serial_baseline_seconds
         return {
             "executor": self.executor,
             "workers": self.workers,
@@ -242,12 +248,12 @@ class EngineStats:
             "max_queue_depth": self.max_queue_depth,
             "cpu_seconds": self.cpu_seconds,
             "cpu_utilization": self.cpu_utilization,
-            "alloc_tracked": bool(getattr(self, "task_peak_alloc", {})),
+            "alloc_tracked": bool(self.task_peak_alloc),
             "transport": {
                 "mode": self.transport_mode,
-                "bytes_pickled": int(getattr(self, "bytes_pickled", 0)),
-                "bytes_shared": int(getattr(self, "bytes_shared", 0)),
-                "encode_seconds": float(getattr(self, "transport_encode_seconds", 0.0)),
+                "bytes_pickled": int(self.bytes_pickled),
+                "bytes_shared": int(self.bytes_shared),
+                "encode_seconds": float(self.transport_encode_seconds),
                 "decode_seconds": self.transport_decode_seconds,
             },
             "top_tasks": self.top_tasks(),

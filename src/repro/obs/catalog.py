@@ -37,7 +37,7 @@ class MetricSpec:
 
 
 METRIC_CATALOG: Dict[str, MetricSpec] = {
-    # -- hierarchical pipeline (repro.core.pipeline) -------------------
+    # -- hierarchical pipeline (repro.core.runner / context / pipeline) -
     "repro_detector_calls_total": MetricSpec(
         kind="counter",
         labels=("level", "detector", "outcome"),
@@ -125,7 +125,7 @@ METRIC_CATALOG: Dict[str, MetricSpec] = {
         help="Measured serial baseline seconds over wall-seconds of the scoring "
         "task graph (unset when a parallel run has no baseline).",
     ),
-    # -- incremental recomputation (repro.core.pipeline.refresh) --------
+    # -- incremental recomputation (repro.core.context.refresh) ---------
     # Registered lazily on the first refresh, so cold runs expose exactly
     # the families they always have.
     "repro_incremental_refreshes_total": MetricSpec(
@@ -238,15 +238,8 @@ METRIC_CATALOG: Dict[str, MetricSpec] = {
     "repro_transport_bytes": MetricSpec(
         kind="gauge",
         labels=("mode",),
-        help="Task-payload bytes moved per engine run, by transport mode "
-        "(pickled = crossed the pickle boundary, 0 when workers inherit "
-        "payloads by fork; shared = the retired shared-memory arena, 0).",
-    ),
-    "repro_transport_overhead_seconds": MetricSpec(
-        kind="gauge",
-        labels=("stage",),
-        help="Transport overhead per engine run of the retired shared-memory "
-        "arena: publish (encode) and worker-side rebuilds (decode); 0.",
+        help="Task-payload bytes pickled per engine run (0 when workers "
+        "inherit their payloads by fork, and on serial runs).",
     ),
     # -- alerting (repro.monitor.alerts) -------------------------------
     "repro_alerts_total": MetricSpec(

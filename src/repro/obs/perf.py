@@ -118,7 +118,7 @@ def to_chrome_trace(
 
     Every span becomes a ``B``/``E`` pair on the lane of its nearest
     ancestor (including itself) carrying a ``worker`` attribute — the
-    label :func:`repro.core.pipeline._worker_label` stamps on task root
+    label :func:`repro.core.tasks._worker_label` stamps on task root
     spans — so process-executor runs get one lane per real worker pid
     (and traces from earlier thread-pool runs one lane per pool thread).
     ``M`` metadata events

@@ -398,6 +398,30 @@ def _uninterrupted(dataset, *, tail: int = 2, **config_kwargs):
     return pipeline
 
 
+class TestPicklePaths:
+    def test_old_module_paths_resolve_to_the_snapshotted_classes(self, tmp_path):
+        # Snapshots pickle classes by module path, and those written before
+        # the pipeline module was split (274c672 and earlier) name these
+        # three under repro.core.pipeline.  If a path stopped resolving,
+        # load_latest would count every such snapshot as corrupt and walk
+        # past it, and a resume after an upgrade would find none usable.
+        HierarchicalDetectionPipeline(
+            _plant(3), config=PipelineConfig(checkpoint_dir=str(tmp_path))
+        )
+        snapshot = SnapshotStore(tmp_path).load_latest()
+        assert snapshot is not None
+        sections = snapshot.sections
+        (__, trace), *__ = next(iter(sections["tasks"]["phase_out"].values()))[0]
+        held = {
+            "_Trace": type(trace),
+            "PipelineStats": type(sections["caches"]["stats"]),
+            "PipelineConfig": type(sections["meta"]["config"]),
+        }
+        for name, cls in held.items():
+            # the GLOBAL opcode an old pickle stream carries for the class
+            assert pickle.loads(f"crepro.core.pipeline\n{name}\n.".encode()) is cls
+
+
 class TestCrashResumeByteIdentity:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("executor", ("serial", "process"))

@@ -165,11 +165,15 @@ class TestConfig:
             ("max_candidates_per_trace", -1),
             ("candidate_gap", -1),
             ("line_history", -3),
+            ("executor", "thread"),
+            ("executor", "greenlet"),
+            ("max_workers", 0),
         ],
     )
     def test_values_that_switch_detection_off_are_rejected(self, field, value):
         # each of these used to be accepted and silently report nothing
-        # (or fail only at run time): the error must name the field
+        # (or fail only at run time, or never on the serial executor):
+        # the error must name the field
         with pytest.raises(ValueError, match=field):
             PipelineConfig(**{field: value})
 

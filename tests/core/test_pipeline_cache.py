@@ -7,7 +7,6 @@ import pytest
 from repro.core import (
     HierarchicalDetectionPipeline,
     OutlierCandidate,
-    PipelineConfig,
     ProductionLevel,
 )
 from repro.io import reports_to_json
@@ -34,6 +33,23 @@ def dataset():
 @pytest.fixture()
 def pipeline(dataset):
     return HierarchicalDetectionPipeline(dataset)
+
+
+class _NoStore(dict):
+    """A memo table that stores nothing: every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def never_memoizing(dataset):
+    """A pipeline whose context recomputes every query: the reference the
+    memoized context must match."""
+    pipeline = HierarchicalDetectionPipeline(dataset)
+    memo = pipeline.context._memo
+    for table in ("confirm", "support", "candidate_time", "candidates"):
+        setattr(memo, table, _NoStore())
+    return pipeline
 
 
 class TestCandidateKey:
@@ -111,25 +127,14 @@ class TestCounters:
 
 
 class TestCacheSemantics:
-    def test_disabled_cache_never_hits(self, dataset):
-        cold = HierarchicalDetectionPipeline(
-            dataset, config=PipelineConfig(enable_cache=False)
-        )
-        cold.run()
-        cold.run()
-        cache = cold.stats()["cache"]
-        assert cache["confirm"]["hits"] == 0
-        assert cache["support"]["hits"] == 0
-        assert cache["find_candidates"]["hits"] == 0
-
     def test_cached_reports_identical_to_cold_context(self, dataset, pipeline):
-        cold = HierarchicalDetectionPipeline(
-            dataset, config=PipelineConfig(enable_cache=False)
-        )
+        cold = never_memoizing(dataset)
         for level in (L.PHASE, L.JOB):
             warm_json = reports_to_json(pipeline.run(start_level=level))
             assert warm_json == reports_to_json(pipeline.run(start_level=level))
             assert warm_json == reports_to_json(cold.run(start_level=level))
+        # the reference really recomputed every query
+        assert all(entry["hits"] == 0 for entry in cold.stats()["cache"].values())
 
     def test_find_candidates_returns_copies(self, pipeline):
         first = pipeline.context.find_candidates(L.PHASE)

@@ -11,7 +11,6 @@ from repro.core import (
     CorrespondenceGraph,
     HierarchicalDetectionPipeline,
     OutlierCandidate,
-    PipelineConfig,
     ProductionLevel,
     RunHealth,
     SupportCalculator,
@@ -71,7 +70,7 @@ class TestDeadChannelQuarantine:
 
     def test_dead_channel_does_not_vote_in_support(self, dead_channel_run):
         victim, __, pipeline, __reports = dead_channel_run
-        calc = pipeline.context._support_calc
+        calc = pipeline.context._plant.support_calc
         assert victim in calc.excluded
 
     def test_support_calculator_excluded_channels(self):
@@ -85,20 +84,6 @@ class TestDeadChannelQuarantine:
         assert full.n_corresponding == 2
         renorm = SupportCalculator(graph, lookup, excluded={"b"}).support_for("a", 50.0)
         assert renorm.n_corresponding == 1  # b's vote removed from the divisor
-
-
-class TestGateDisabled:
-    def test_pipeline_survives_dead_channel_without_gate(self, tiny_plant):
-        machine = next(tiny_plant.iter_machines())
-        victim = machine.channels[0].sensor_id
-        chaotic, __ = inject_chaos(
-            tiny_plant, ChaosConfig(seed=0, dropout_sensors=(victim,))
-        )
-        pipeline = HierarchicalDetectionPipeline(
-            chaotic, config=PipelineConfig(gate_enabled=False)
-        )
-        pipeline.run()  # sandbox alone must absorb the all-NaN channel
-        assert not pipeline.health.quarantines
 
 
 class TestUnknownJobWarning:

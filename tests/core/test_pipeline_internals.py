@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.pipeline import (
+from repro.core.tasks import (
     _peak_indices,
     _robust_standardize,
     _robust_threshold,

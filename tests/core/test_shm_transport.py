@@ -15,6 +15,7 @@ import glob
 import multiprocessing
 import os
 import pathlib
+import pickle
 import re
 import signal
 import subprocess
@@ -201,14 +202,17 @@ class TestSpeedupDefinition:
 
     def test_snapshot_without_new_fields_still_reports(self):
         # an EngineStats unpickled from a pre-transport snapshot lacks
-        # every field this PR added; accessors must not explode
-        stats = object.__new__(EngineStats)
-        stats.executor = "serial"
-        stats.workers = 1
-        stats.n_tasks = 2
-        stats.wall_seconds = 2.0
-        stats.task_seconds = {"a": 1.0}
-        stats.max_queue_depth = 1
+        # every field added since the first snapshot format; accessors
+        # must not explode
+        stats = EngineStats(
+            executor="serial", workers=1, n_tasks=2, wall_seconds=2.0,
+            task_seconds={"a": 1.0}, max_queue_depth=1,
+        )
+        for name in list(stats.__dict__):
+            if name not in ("executor", "workers", "n_tasks", "wall_seconds",
+                            "task_seconds", "max_queue_depth"):
+                del stats.__dict__[name]
+        stats = pickle.loads(pickle.dumps(stats))
         assert stats.speedup == pytest.approx(0.5)
         summary = stats.as_dict()
         assert summary["serial_baseline_seconds"] is None

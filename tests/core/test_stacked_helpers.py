@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pipeline import _peak_indices, _robust_threshold, _robust_thresholds
+from repro.core.tasks import _peak_indices, _robust_threshold, _robust_thresholds
 from repro.core.resilience import (
     QualityPolicy,
     assess_series,

@@ -20,8 +20,8 @@ import pytest
 
 from repro.core import PipelineConfig, ProductionLevel
 from repro.core.outlier import OutlierCandidate
-from repro.core.pipeline import (
-    PlantHierarchyContext,
+from repro.core.runner import LevelRunner
+from repro.core.tasks import (
     _gate_series_w,
     _modal_expected_length,
     _peak_indices,
@@ -185,11 +185,6 @@ CASES = {
                     nan_burst_length=40, stuck_rate=0.2, truncate_rate=0.1),
         19, False, PipelineConfig(quality=QualityPolicy(flatline_tolerance=0.05)),
     ),
-    # ungated ±inf would only exercise the detectors' own inf handling
-    "gate-off": (
-        ChaosConfig(seed=4, nan_burst_rate=0.3, nan_burst_length=6, truncate_rate=0.1),
-        None, False, PipelineConfig(gate_enabled=False),
-    ),
 }
 
 
@@ -204,11 +199,9 @@ def _tasks(base_plant, case: str) -> List[_ScoreTask]:
             ProductionLevel.PHASE, ["chaos-raise", "ar", "deviants", "zscore"]
         )
     # the payloads the pipeline itself would ship, without running it
-    ctx = PlantHierarchyContext.__new__(PlantHierarchyContext)
-    ctx._init_state(dataset, selector, config, None)
     return [
         cast(_ScoreTask, task.payload)
-        for task in ctx._build_task_graph()
+        for task in LevelRunner(dataset, selector, config, None).task_graph()
         if task.key.startswith(("phase/", "env/"))
     ]
 
@@ -258,6 +251,4 @@ def test_stacked_tasks_match_the_trace_by_trace_reference(base_plant, case):
     expected = {"quarantine", "warn", "obs"}
     if CASES[case][2]:
         expected.add("fallback")
-    if not CASES[case][3].gate_enabled:
-        expected = {"obs"}
     assert expected <= kinds_seen

@@ -230,15 +230,3 @@ class TestDeterminism:
         json_a = reports_to_json(reports_a, health=pipeline_a.health)
         json_b = reports_to_json(reports_b, health=pipeline_b.health)
         assert json_a.encode("utf-8") == json_b.encode("utf-8")
-
-
-class TestGateAblation:
-    def test_gate_disabled_still_completes(self, dataset, victim):
-        chaotic, __ = inject_chaos(
-            dataset, ChaosConfig(seed=CHAOS_SEED, dropout_sensors=(victim,))
-        )
-        pipeline = HierarchicalDetectionPipeline(
-            chaotic, config=PipelineConfig(gate_enabled=False)
-        )
-        pipeline.run()  # the sandbox alone must keep the run alive
-        assert not pipeline.health.quarantines

@@ -74,7 +74,7 @@ class TestEntryPointDiscovery:
         assert "repro.core.parallel._pool_call" in entries
         assert "repro.core.parallel._timed_call" in model.worker_reachable
         # every _TASK_RUNNERS dispatch value is an entry point
-        runners = {e for e in entries if e.startswith("repro.core.pipeline._run_")}
+        runners = {e for e in entries if e.startswith("repro.core.tasks._run_")}
         assert len(runners) >= 5, sorted(entries)
 
     def test_reachable_set_is_worker_side_only(self):

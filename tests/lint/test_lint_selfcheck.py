@@ -1,8 +1,9 @@
 """Self-checks: the linter's contracts hold on the *real* tree.
 
-Four cross-artifact consistency surfaces:
+Four cross-artifact consistency surfaces, plus a size limit:
 
-* ``src/repro`` lints clean (the tentpole acceptance criterion);
+* ``src/repro`` lints clean (the tentpole acceptance criterion), and no
+  module in it has more than 1,000 lines;
 * the Table-1 manifest matches the live registry class-for-class (all
   29 detectors) and tampering with it is detected;
 * the metric catalog agrees with a live pipeline run and with the
@@ -34,6 +35,14 @@ class TestRealTreeIsClean:
             [REPO_ROOT / "src"], make_rules(), LintConfig(root=REPO_ROOT)
         )
         assert findings == [], "\n".join(f.render() for f in findings)
+
+    def test_no_module_over_1000_lines(self):
+        # a module that long mixes decisions that belong in modules of their own
+        sizes = {
+            str(path.relative_to(REPO_ROOT)): len(path.read_text().splitlines())
+            for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+        }
+        assert {p: n for p, n in sizes.items() if n > 1000} == {}
 
 
 class TestManifestMatchesRegistry:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import pathlib
+import pickle
 import time
 
 import pytest
@@ -254,6 +255,7 @@ class TestEngineStatsAttribution:
         es = self._stats()
         del es.__dict__["task_cpu_seconds"]
         del es.__dict__["task_peak_alloc"]
+        es = pickle.loads(pickle.dumps(es))
         doc = es.as_dict()
         assert doc["cpu_seconds"] == 0.0
         assert doc["alloc_tracked"] is False

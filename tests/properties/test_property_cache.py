@@ -1,8 +1,9 @@
 """Property tests: memoization must never change Algorithm-1 results.
 
 Whatever the start level, fusion strategy, or unification method, a
-memoized (warm) context must report exactly what a cache-disabled (cold)
-context reports on the same plant — the cache is a pure performance layer.
+memoized (warm) context must report exactly what a context that never
+memoizes (cold: its memo tables store nothing, so every query recomputes)
+reports on the same plant — the cache is a pure performance layer.
 """
 
 from __future__ import annotations
@@ -12,13 +13,10 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    HierarchicalDetectionPipeline,
-    PipelineConfig,
-    ProductionLevel,
-)
+from repro.core import HierarchicalDetectionPipeline, ProductionLevel
 from repro.core.fusion import FUSION_STRATEGIES
 from repro.io import reports_to_json
+from tests.core.test_pipeline_cache import never_memoizing
 
 L = ProductionLevel
 
@@ -37,13 +35,7 @@ def _pipelines(seed: int):
         ),
     )
     dataset = simulate_plant(config)
-    warm = HierarchicalDetectionPipeline(
-        dataset, config=PipelineConfig(enable_cache=True)
-    )
-    cold = HierarchicalDetectionPipeline(
-        dataset, config=PipelineConfig(enable_cache=False)
-    )
-    return warm, cold
+    return HierarchicalDetectionPipeline(dataset), never_memoizing(dataset)
 
 
 @given(

@@ -24,20 +24,20 @@ import sys
 NOTES = """\
 ## Notes
 
-### Confirmation/support caching (`repro.core.pipeline`)
+### Confirmation/support caching (`repro.core.context`)
 
-`PlantHierarchyContext` precomputes per-level indexes once (machine→line
-map, per-line job interval index, sorted per-channel trace index,
+`PlantHierarchyContext` reads precomputed indexes (machine→line map,
+per-line job interval index, sorted per-channel trace index,
 phase-candidate indexes) and memoizes `confirm(candidate, level)`,
 `support(candidate)`, and `find_candidates(level)` on the candidate's
 canonical `OutlierCandidate.key` — a hashable
 `(level, machine, job, phase, sensor, index)` tuple that deliberately
 excludes score/provenance fields.  Repeated `run()` calls and the
 up/down walks of `calc_global_score` therefore never recompute a
-confirmation.  The cache is a pure performance layer: reports are
-byte-identical to a cache-disabled context
-(`PipelineConfig(enable_cache=False)`).  Hit/miss/call counters are
-exposed through `HierarchicalDetectionPipeline.stats()` (equivalently
+confirmation.  The cache is always on and a pure performance layer:
+reports are byte-identical to a context that recomputes every query.
+Hit/miss/call counters are exposed through
+`HierarchicalDetectionPipeline.stats()` (equivalently
 `PlantHierarchyContext.stats()`, a `PipelineStats` snapshot);
 `reset_stats()` zeroes them and `invalidate_caches()` drops memoized
 results while keeping the indexes.  After a job ingest

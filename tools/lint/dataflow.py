@@ -88,7 +88,7 @@ def _anchor_root(posix_path: str) -> str:
 class FunctionInfo:
     """One function or method, addressed by dotted qualname."""
 
-    qualname: str          #: e.g. ``repro.core.pipeline._run_phase_task``
+    qualname: str          #: e.g. ``repro.core.tasks._run_phase_task``
     module: str            #: owning module's dotted name
     node: ast.AST          #: FunctionDef / AsyncFunctionDef
     cls: Optional[str] = None  #: owning class qualname for methods

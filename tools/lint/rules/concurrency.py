@@ -168,7 +168,7 @@ class ConcurrencyRule(ProjectRule):
                             "reference: every closure sees the last iteration",
                             hint="default-bind the loop variable "
                             "(lambda name=name: ...), the idiom "
-                            "pipeline._score_resilient uses",
+                            "tasks._score_resilient uses",
                         )
 
     # -- DET103 ------------------------------------------------------
