@@ -16,9 +16,7 @@ replicated over three seeds:
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.eval import aggregate, evaluate_alg1, replicate_alg1
+from repro.eval import aggregate, replicate_alg1
 
 SEEDS = (2019, 2020, 2021)
 

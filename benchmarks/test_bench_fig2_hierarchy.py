@@ -10,8 +10,6 @@ finds there.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import (
     HierarchicalDetectionPipeline,
     ProductionLevel,

@@ -9,8 +9,6 @@ largest automation-control share, deviant discovery is negligible.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.corpus import generate_corpus, run_fig3_queries
 
 N_RECORDS = 60_000

@@ -1,4 +1,4 @@
-"""Perf benchmark — the parallel level-DAG engine vs the serial baseline.
+"""Perf benchmark — the parallel execution engine vs the serial baseline.
 
 Section 5 of the paper names *calculation speed* as a core challenge of
 hierarchical detection.  This benchmark runs the full pipeline over a
@@ -59,7 +59,7 @@ def _run(dataset, executor: str, workers):
 
 def _format(rows, cores: int, identical: bool) -> str:
     lines = [
-        "Parallel level-DAG engine — wall time per executor "
+        "Parallel execution engine — wall time per executor "
         f"({cores} core(s) available)",
         "",
         f"{'executor':10s} {'workers':>7s} {'tasks':>5s} {'wall_s':>8s} "

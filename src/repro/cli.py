@@ -73,16 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--profile-interval-ms", type=float, default=5.0,
                      metavar="MS",
                      help="sampling interval of --profile-out in milliseconds")
-    det.add_argument("--perf-alloc", action="store_true",
-                     help="capture each scoring task's peak tracemalloc "
-                          "allocation (slow; surfaces in `repro perf report` "
-                          "and the repro_perf_task_peak_alloc_bytes metric)")
     det.add_argument("--log-level", default=None, metavar="LEVEL",
                      help="emit structured JSON logs at this level "
                           "(DEBUG/INFO/WARNING/...) to stderr")
     det.add_argument("--executor", default="serial",
                      choices=("serial", "process"),
-                     help="level-DAG execution engine backend; reports are "
+                     help="scoring-task execution engine backend; reports are "
                           "byte-identical across both")
     det.add_argument("--max-workers", type=int, default=None, metavar="N",
                      help="worker-pool cap for --executor process "
@@ -290,13 +286,20 @@ def _cmd_detect(args) -> int:
         print("detect: --chaos-kill-after requires --checkpoint-dir",
               file=sys.stderr)
         return 2
+    if args.ingest_tail > 0:
+        # the base plant must keep a job on every machine to be scored cold
+        fewest = min(dataset.iter_machines(), key=lambda m: len(m.jobs))
+        if args.ingest_tail >= len(fewest.jobs):
+            print(f"detect: --ingest-tail {args.ingest_tail} must be smaller than "
+                  f"the {len(fewest.jobs)} job(s) of machine {fewest.machine_id}",
+                  file=sys.stderr)
+            return 2
     config = PipelineConfig(
         executor=args.executor,
         max_workers=args.max_workers,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
         checkpoint_retain=args.checkpoint_retain,
-        perf_alloc=args.perf_alloc,
     )
     profiler = None
     if args.profile_out:
@@ -442,7 +445,7 @@ def _detect_incremental(dataset, config, args):
 
     Scores the base plant cold, ingests each held-out job through
     :meth:`~repro.core.HierarchicalDetectionPipeline.ingest_job` (which
-    re-runs only the dirty subgraph), then cross-checks the result against
+    re-runs only the dirty closure), then cross-checks the result against
     a cold pipeline over the full plant.  Returns ``(pipeline, reports,
     identical)``; a mismatch turns into a nonzero exit code upstream.
     """
@@ -607,12 +610,9 @@ def _cmd_perf(args) -> int:
         print("perf report: no task timings in artifact")
         return 0
     has_cpu = any("cpu_seconds" in r for r in rows)
-    has_alloc = any("peak_alloc_bytes" in r for r in rows)
     header = f"{'task':32s} {'kind':12s} {'wall_ms':>10s}"
     if has_cpu:
         header += f" {'cpu_ms':>10s}"
-    if has_alloc:
-        header += f" {'peak_kb':>10s}"
     print(header)
     for row in rows:
         line = (
@@ -622,11 +622,6 @@ def _cmd_perf(args) -> int:
         if has_cpu:
             cpu = row.get("cpu_seconds")
             line += f" {float(cpu) * 1e3:10.3f}" if cpu is not None else f" {'-':>10s}"
-        if has_alloc:
-            alloc = row.get("peak_alloc_bytes")
-            line += (
-                f" {float(alloc) / 1024:10.1f}" if alloc is not None else f" {'-':>10s}"
-            )
         print(line)
     return 0
 

@@ -21,10 +21,8 @@ from .checkpoint import (
     Snapshot,
     SnapshotError,
     SnapshotStore,
-    pack_detector,
     register_migration,
     resume_pipeline,
-    unpack_detector,
 )
 from .explain import explain_report
 from .fusion import (
@@ -47,8 +45,6 @@ from .parallel import (
     EXECUTORS,
     EngineStats,
     ParallelEngine,
-    Task,
-    TaskGraph,
     resolve_workers,
 )
 from .pipeline import (
@@ -120,8 +116,6 @@ __all__ = [
     "PlantHierarchyContext",
     "HierarchicalDetectionPipeline",
     "ParallelEngine",
-    "TaskGraph",
-    "Task",
     "EngineStats",
     "EXECUTORS",
     "resolve_workers",
@@ -146,6 +140,4 @@ __all__ = [
     "CheckpointManager",
     "resume_pipeline",
     "register_migration",
-    "pack_detector",
-    "unpack_detector",
 ]

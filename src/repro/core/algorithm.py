@@ -74,15 +74,6 @@ class HierarchyContext(abc.ABC):
         """
         return {}
 
-    def level_score(self, candidate: OutlierCandidate,
-                    level: ProductionLevel) -> float:
-        """Unified outlierness of the candidate's context at ``level``.
-
-        Defaults to the confirmation's outlierness; contexts may override
-        with calibrated scores.
-        """
-        return self.confirm(candidate, level).outlierness
-
 
 def calc_global_score(
     context: HierarchyContext,

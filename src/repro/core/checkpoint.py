@@ -58,8 +58,6 @@ __all__ = [
     "CheckpointManager",
     "resume_pipeline",
     "register_migration",
-    "pack_detector",
-    "unpack_detector",
 ]
 
 #: Schema tag of the on-disk snapshot format (sibling of
@@ -336,32 +334,6 @@ class SnapshotStore:
             return max(0.0, time.time() - path.stat().st_mtime)
         except OSError:  # pragma: no cover - racing cleaner
             return None
-
-
-# ----------------------------------------------------------------------
-# fitted-detector state (the BaseDetector.state_dict contract)
-# ----------------------------------------------------------------------
-def pack_detector(detector: object) -> Dict[str, object]:
-    """Serialize one fitted registry detector for a snapshot section."""
-    state = cast(Callable[[], Dict[str, object]], getattr(detector, "state_dict"))
-    return state()
-
-
-def unpack_detector(state: Dict[str, object]) -> object:
-    """Rebuild a fitted detector from :func:`pack_detector` output.
-
-    The detector class is resolved through the registry by the ``name``
-    recorded in the state dict, then :meth:`~repro.detectors.BaseDetector.
-    load_state_dict` restores the fit.
-    """
-    from ..detectors import make_detector
-
-    name = state.get("name")
-    if not isinstance(name, str):
-        raise SnapshotError(f"detector state without a name: {state.get('name')!r}")
-    detector = make_detector(name)
-    detector.load_state_dict(state)
-    return detector
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from ..plant import LineRecord, PlantDataset
 from .algorithm import HierarchyContext
 from .levels import ProductionLevel
 from .outlier import LevelConfirmation, OutlierCandidate
-from .parallel import EngineStats, TaskGraph
+from .parallel import EngineStats
 from .resilience import RunHealth
 from .runner import LevelRunner, _copied, _trace_at
 from .selection import AlgorithmSelector
@@ -129,7 +129,7 @@ class PlantHierarchyContext(HierarchyContext):
 
         Shared by the cold build and the checkpoint restore path
         (:meth:`_from_snapshot_state`), which has the runner install
-        snapshotted task outputs instead of executing the level DAG.
+        snapshotted task outputs instead of running the scoring tasks.
         """
         if config is None:
             from .pipeline import PipelineConfig  # that module imports this one
@@ -286,7 +286,7 @@ class PlantHierarchyContext(HierarchyContext):
 
         The blunt instrument: everything recomputes on next use.  An
         incremental :meth:`refresh` instead calls :meth:`_evict_dirty`,
-        which drops only the entries the dirty subgraph can have changed.
+        which drops only the entries the dirty closure can have changed.
         """
         memo = self._memo
         memo.confirm.clear()
@@ -298,20 +298,21 @@ class PlantHierarchyContext(HierarchyContext):
     # incremental recomputation (see DESIGN §10)
     # ------------------------------------------------------------------
     def refresh(self) -> Dict[str, object]:
-        """Incrementally re-score the dirty subgraph after job ingests.
+        """Incrementally re-score the dirty closure after job ingests.
 
         Consumes the dataset's dirty set (jobs appended through
         :meth:`~repro.plant.PlantDataset.ingest_job`), maps every dirty
-        job to its task-DAG closure — its machine's phase task, the
-        ``job`` table, its line's jobs-over-time task, and ``production``
-        — has the runner re-run exactly those tasks inline on the serial
-        engine, whatever the configured executor (DESIGN §10), and
-        reassemble the scored plant from the persisted outputs of every
-        untouched task.  The phase task scores only the machine's jobs its
-        stored outputs do not cover yet (the newly ingested ones) and its
-        outputs are appended; the vector tasks rescore every job.  Cache entries are
-        then evicted *scoped*: only what the dirty subgraph can have
-        changed (see :meth:`_evict_dirty`).
+        job to the tasks whose payload it changes (its dirty closure) —
+        its machine's phase task, the ``job`` table, its line's
+        jobs-over-time task, and ``production`` — has the runner re-run
+        exactly those tasks inline on the serial engine, whatever the
+        configured executor (DESIGN §10), and reassemble the scored plant
+        from the persisted outputs of every untouched task.  The phase
+        task scores only the machine's jobs its stored outputs do not
+        cover yet (the newly ingested ones) and its outputs are appended;
+        the vector tasks rescore every job.  Cache entries are then
+        evicted *scoped*: only what the dirty closure can have changed
+        (see :meth:`_evict_dirty`).
 
         The contract is the one the parallel engine established: after a
         refresh, reports and health are byte-identical to a cold build on
@@ -338,8 +339,8 @@ class PlantHierarchyContext(HierarchyContext):
         for machine_id in dirty_machines:
             closure.add(f"phase/{machine_id}")
             closure.add(f"line/{self.dataset.line_of(machine_id).line_id}")
-        graph = self._runner.task_graph(only=closure)
-        self._plant = self._runner.run("pipeline.refresh", graph, "serial")
+        tasks = self._runner.task_graph(only=closure)
+        self._plant = self._runner.run("pipeline.refresh", tasks, "serial")
         phase_changed = not np.array_equal(
             old_phase_scores, self._plant.phase_scores_sorted
         )
@@ -350,16 +351,16 @@ class PlantHierarchyContext(HierarchyContext):
         incr = self._incr
         incr.refreshes += 1
         incr.dirty_jobs += len(dirty)
-        incr.dirty_tasks += len(graph)
+        incr.dirty_tasks += len(tasks)
         for table, n in evicted.items():
             incr.evicted[table] += n
         for table, n in retained.items():
             incr.retained[table] += n
-        self._publish_incremental_metrics(dirty, graph, evicted, retained)
+        self._publish_incremental_metrics(dirty, tasks, evicted, retained)
         return {
             "dirty_jobs": len(dirty),
-            "dirty_tasks": len(graph),
-            "task_keys": graph.keys,
+            "dirty_tasks": len(tasks),
+            "task_keys": list(tasks),
             "evicted": evicted,
             "retained": retained,
             "wall_seconds": self.engine_stats().wall_seconds,
@@ -472,14 +473,14 @@ class PlantHierarchyContext(HierarchyContext):
     def _publish_incremental_metrics(
         self,
         dirty: List[Tuple[str, int]],
-        graph: TaskGraph,
+        tasks: Mapping[str, object],
         evicted: Dict[str, int],
         retained: Dict[str, int],
     ) -> None:
         self._m_incr_refreshes.inc()
         self._m_incr_dirty_jobs.inc(len(dirty))
         kinds: Dict[str, int] = {}
-        for key in graph.keys:
+        for key in tasks:
             kind = key.split("/", 1)[0]
             kinds[kind] = kinds.get(kind, 0) + 1
         for kind in sorted(kinds):

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..synthetic import OutlierType
-from .levels import ProductionLevel
 from .outlier import HierarchicalOutlierReport
 from .types import TypeClassification
 

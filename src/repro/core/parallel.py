@@ -1,16 +1,17 @@
-"""Parallel level-DAG execution engine for the hierarchical pipeline.
+"""Parallel execution engine for the scoring tasks of the hierarchical pipeline.
 
 Section 5 of the paper singles out *calculation speed* as a core
 challenge of hierarchical outlier detection.  The scoring work of one
-plant run decomposes naturally into a small DAG — phase scoring per
-machine, environment scoring per line, the global job table, the per-line
-jobs-over-time matrices, and the production panel — and the tasks inside
-one level are embarrassingly parallel.  This module provides the generic
-machinery; :mod:`repro.core.runner` builds the concrete graph.
+plant run decomposes into independent tasks — phase scoring per machine,
+environment scoring per line, the global job table, the per-line
+jobs-over-time matrices, and the production panel — each a function of
+its own payload (the line level's production-wide threshold is applied
+in the merge, after the engine returns).  This module provides the
+generic machinery; :mod:`repro.core.runner` builds the concrete tasks.
 
 Design constraints, in order:
 
-* **determinism first** — results are merged *by task key in graph
+* **determinism first** — results are returned *by task key in
   insertion order*, never in completion order, and a task's result is
   a function of its payload alone; the serial and process executors
   therefore produce bit-identical pipeline results;
@@ -18,12 +19,11 @@ Design constraints, in order:
   ``src/repro`` allowed to construct a ``ProcessPoolExecutor``
   (enforced statically by repro-lint rule DET005), so executor policy,
   worker sizing, and shutdown discipline live in exactly one file;
-* **measurable** — :class:`EngineStats` records per-task wall latency,
-  the maximum number of simultaneously ready tasks (queue depth), and
-  the speedup over a measured serial baseline (None when a parallel run
-  has none) the pipeline folds into metrics.
+* **measurable** — :class:`EngineStats` records per-task wall and CPU
+  seconds and the speedup over a measured serial baseline (None when a
+  parallel run has none) the pipeline folds into metrics.
 
-The ``process`` executor forks a pool per run, after the graph is final:
+The ``process`` executor forks a pool per run, after the tasks are final:
 workers inherit the worker callable and every payload, and only task keys
 cross the pool.  Without fork each payload is pickled once, in the caller.
 """
@@ -34,11 +34,9 @@ import os
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, cast
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, cast
 
 __all__ = [
-    "Task",
-    "TaskGraph",
     "EngineStats",
     "ParallelEngine",
     "EXECUTORS",
@@ -69,74 +67,20 @@ def resolve_workers(executor: str, max_workers: Optional[int]) -> int:
     return max(1, available)
 
 
-@dataclass(frozen=True)
-class Task:
-    """One schedulable unit of work.
-
-    ``deps`` name tasks that must complete before this one may start;
-    they must already be in the graph when the task is added, which
-    keeps every :class:`TaskGraph` topologically ordered by construction.
-    """
-
-    key: str
-    payload: object
-    deps: Tuple[str, ...] = ()
-
-
-class TaskGraph:
-    """An insertion-ordered DAG of :class:`Task` objects.
-
-    Insertion order is the canonical merge order: the engine returns
-    results keyed and ordered by it, so replaying side effects over the
-    result dict reproduces the serial pipeline's event sequence exactly.
-    """
-
-    def __init__(self) -> None:
-        self._tasks: Dict[str, Task] = {}
-
-    def add(self, task: Task) -> None:
-        if task.key in self._tasks:
-            raise ValueError(f"duplicate task key {task.key!r}")
-        for dep in task.deps:
-            if dep not in self._tasks:
-                raise ValueError(
-                    f"task {task.key!r} depends on unknown task {dep!r} "
-                    "(dependencies must be added first)"
-                )
-        self._tasks[task.key] = task
-
-    def __len__(self) -> int:
-        return len(self._tasks)
-
-    def __iter__(self):  # type: ignore[no-untyped-def]  # Iterator[Task]
-        return iter(self._tasks.values())
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._tasks
-
-    @property
-    def keys(self) -> List[str]:
-        return list(self._tasks)
-
-    @property
-    def n_edges(self) -> int:
-        return sum(len(t.deps) for t in self._tasks.values())
-
-
 @dataclass
 class EngineStats:
     """What one engine run cost, and how parallel it actually was.
 
     Besides wall latency the engine attributes per-task CPU seconds
-    (``time.thread_time`` where available, else ``time.process_time``)
-    and — when allocation capture is on — the peak ``tracemalloc``
-    allocation inside each task.  All of it is measured *inside* the
-    worker, so IPC and queue wait never pollute the attribution.
+    (``time.thread_time`` where available, else ``time.process_time``),
+    both measured *inside* the worker, so IPC and queue wait never
+    pollute the attribution.
 
-    Instances travel inside checkpoint snapshots, and several fields were
-    added without a snapshot version bump: an instance unpickled from an
-    older snapshot takes each missing scalar from its class-level default
-    and each missing dict from :meth:`__setstate__`.
+    Instances travel inside checkpoint snapshots, and fields were added
+    and retired without a snapshot version bump: an instance unpickled
+    from an older snapshot takes each missing scalar from its class-level
+    default and each missing dict from :meth:`__setstate__`, and keeps each
+    retired field as an attribute that nothing reads.
     """
 
     executor: str
@@ -144,9 +88,7 @@ class EngineStats:
     n_tasks: int = 0
     wall_seconds: float = 0.0
     task_seconds: Dict[str, float] = field(default_factory=dict)
-    max_queue_depth: int = 0
     task_cpu_seconds: Dict[str, float] = field(default_factory=dict)
-    task_peak_alloc: Dict[str, int] = field(default_factory=dict)
     #: Measured task time of a same-run serial baseline, when one exists
     #: (the speedup benchmark runs serial first and stamps it onto the
     #: parallel legs).  Unset, a serial run is its own baseline and a
@@ -163,7 +105,7 @@ class EngineStats:
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.__dict__.update(state)
-        for name in ("task_cpu_seconds", "task_peak_alloc", "task_transport_seconds"):
+        for name in ("task_cpu_seconds", "task_transport_seconds"):
             self.__dict__.setdefault(name, {})
 
     @property
@@ -211,14 +153,12 @@ class EngineStats:
         return self.cpu_seconds / self.wall_seconds
 
     def top_tasks(self, k: int = 10) -> List[Dict[str, object]]:
-        """Top-``k`` tasks by wall latency, with CPU/alloc attribution.
+        """Top-``k`` tasks by wall latency, with CPU attribution.
 
         The rows behind ``repro perf report``: task key, level kind,
-        wall seconds, plus ``cpu_seconds`` / ``peak_alloc_bytes`` where
-        captured.
+        wall seconds, plus ``cpu_seconds`` where captured.
         """
         cpu = self.task_cpu_seconds
-        alloc = self.task_peak_alloc
         ordered = sorted(self.task_seconds.items(), key=lambda kv: (-kv[1], kv[0]))
         rows: List[Dict[str, object]] = []
         for key, wall in ordered[: max(0, int(k))]:
@@ -229,8 +169,6 @@ class EngineStats:
             }
             if key in cpu:
                 row["cpu_seconds"] = cpu[key]
-            if key in alloc:
-                row["peak_alloc_bytes"] = int(alloc[key])
             rows.append(row)
         return rows
 
@@ -245,10 +183,8 @@ class EngineStats:
             "compute_seconds": self.compute_seconds,
             "speedup": self.speedup,
             "serial_baseline_seconds": None if baseline is None else float(baseline),
-            "max_queue_depth": self.max_queue_depth,
             "cpu_seconds": self.cpu_seconds,
             "cpu_utilization": self.cpu_utilization,
-            "alloc_tracked": bool(self.task_peak_alloc),
             "transport": {
                 "mode": self.transport_mode,
                 "bytes_pickled": int(self.bytes_pickled),
@@ -267,38 +203,18 @@ _cpu_clock: Callable[[], float] = getattr(time, "thread_time", time.process_time
 
 
 def _timed_call(
-    worker: Callable[[object], object], payload: object, capture_alloc: bool = False
-) -> Tuple[object, float, float, int]:
+    worker: Callable[[object], object], payload: object
+) -> Tuple[object, float, float]:
     """Run one task in the worker, timing it locally.
 
     Timing inside the worker keeps IPC/queue wait (and, on the pickle
     transport, payload decoding) out of the compute-seconds estimate.
-    Returns ``(result, wall_seconds, cpu_seconds, peak_alloc_bytes)``;
-    peak allocation is ``-1`` unless ``capture_alloc`` asked tracemalloc
-    to watch the call (opt-in — tracing every allocation is far too slow
-    to leave on by default).
+    Returns ``(result, wall_seconds, cpu_seconds)``.
     """
-    peak = -1
-    tracing_already = False
-    if capture_alloc:
-        import tracemalloc
-
-        tracing_already = tracemalloc.is_tracing()
-        if not tracing_already:
-            tracemalloc.start()
-        tracemalloc.reset_peak()
     started_cpu = _cpu_clock()
     started = time.perf_counter()
     result = worker(payload)
-    elapsed = time.perf_counter() - started
-    cpu = _cpu_clock() - started_cpu
-    if capture_alloc:
-        import tracemalloc
-
-        peak = tracemalloc.get_traced_memory()[1]
-        if not tracing_already:
-            tracemalloc.stop()
-    return result, elapsed, cpu, peak
+    return result, time.perf_counter() - started, _cpu_clock() - started_cpu
 
 
 def _fork_available() -> bool:
@@ -319,27 +235,24 @@ def _install(worker: Callable[[object], object], payloads: Dict[str, object]) ->
     _inherited_worker, _inherited_payloads = worker, payloads
 
 
-def _pool_call(
-    key: str, blob: Optional[bytes], capture_alloc: bool
-) -> Tuple[object, float, float, int]:
+def _pool_call(key: str, blob: Optional[bytes]) -> Tuple[object, float, float]:
     """Run task ``key`` in a pool worker on its inherited (or pickled) payload."""
     payload = _inherited_payloads[key] if blob is None else pickle.loads(blob)
     worker = cast(Callable[[object], object], _inherited_worker)
-    return _timed_call(worker, payload, capture_alloc)
+    return _timed_call(worker, payload)
 
 
 class ParallelEngine:
-    """Schedules a :class:`TaskGraph` onto a configurable executor.
+    """Runs independent tasks on a configurable executor.
 
     ``executor`` is one of :data:`EXECUTORS`; ``max_workers`` caps the
     pool (default: auto-sized, see :func:`resolve_workers`).  ``clock``
     measures engine wall time and is injectable for tests.
-    ``capture_alloc`` additionally records each task's peak tracemalloc
-    allocation (opt-in: tracing allocations is expensive).
 
-    :meth:`run` returns ``(results, stats)`` where ``results`` maps task
-    key to worker return value **in graph insertion order** regardless of
-    completion order — the determinism contract callers merge against.
+    :meth:`run` takes an insertion-ordered mapping of task key to payload
+    and returns ``(results, stats)`` where ``results`` maps task key to
+    worker return value **in insertion order** regardless of completion
+    order — the determinism contract callers merge against.
     """
 
     def __init__(
@@ -347,7 +260,6 @@ class ParallelEngine:
         executor: str = "serial",
         max_workers: Optional[int] = None,
         clock: Callable[[], float] = time.perf_counter,
-        capture_alloc: bool = False,
     ) -> None:
         if executor not in EXECUTORS:
             raise ValueError(
@@ -356,69 +268,41 @@ class ParallelEngine:
         self.executor = executor
         self.workers = resolve_workers(executor, max_workers)
         self._clock = clock
-        self.capture_alloc = bool(capture_alloc)
 
     def run(
-        self, graph: TaskGraph, worker: Callable[[object], object]
+        self, tasks: Mapping[str, object], worker: Callable[[object], object]
     ) -> Tuple[Dict[str, object], EngineStats]:
         stats = EngineStats(
-            executor=self.executor, workers=self.workers, n_tasks=len(graph)
+            executor=self.executor, workers=self.workers, n_tasks=len(tasks)
         )
         started = self._clock()
         if self.executor == "serial":
-            results = self._run_serial(graph, worker, stats)
+            timed = {key: _timed_call(worker, payload) for key, payload in tasks.items()}
         else:
-            results = self._run_pooled(graph, worker, stats)
+            timed = self._run_pooled(tasks, worker, stats)
         stats.wall_seconds = self._clock() - started
-        # canonical order: graph insertion order, never completion order
-        return {key: results[key] for key in graph.keys}, stats
-
-    # -- serial ---------------------------------------------------------
-    def _run_serial(
-        self,
-        graph: TaskGraph,
-        worker: Callable[[object], object],
-        stats: EngineStats,
-    ) -> Dict[str, object]:
         results: Dict[str, object] = {}
-        pending = {t.key: set(t.deps) for t in graph}
-        for task in graph:
-            # the graph is topologically ordered by construction, so a
-            # blocked task here is an internal invariant violation
-            ready = [k for k, deps in pending.items() if not deps]
-            stats.max_queue_depth = max(stats.max_queue_depth, len(ready))
-            if pending.pop(task.key):
-                raise RuntimeError(
-                    f"task {task.key!r} ran before its dependencies"
-                )
-            value, elapsed, cpu, peak = _timed_call(
-                worker, task.payload, self.capture_alloc
-            )
-            results[task.key] = value
-            stats.task_seconds[task.key] = elapsed
-            stats.task_cpu_seconds[task.key] = cpu
-            if peak >= 0:
-                stats.task_peak_alloc[task.key] = peak
-            for deps in pending.values():
-                deps.discard(task.key)
-        return results
+        for key, (value, elapsed, cpu) in timed.items():
+            results[key] = value
+            stats.task_seconds[key] = elapsed
+            stats.task_cpu_seconds[key] = cpu
+        return results, stats
 
-    # -- process ------------------------------------------------------
     def _run_pooled(
         self,
-        graph: TaskGraph,
+        tasks: Mapping[str, object],
         worker: Callable[[object], object],
         stats: EngineStats,
-    ) -> Dict[str, object]:
+    ) -> Dict[str, Tuple[object, float, float]]:
         # Inheritance is exact because the pool lives for this run only: it
-        # forks after the graph is final, so every worker sees exactly this
+        # forks after the tasks are final, so every worker sees exactly this
         # run's payloads, and it is joined before run() returns.  A pool
         # kept across runs would serve the payloads of the run it forked in.
         import multiprocessing
-        from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+        from concurrent.futures import ProcessPoolExecutor
 
         context = None
-        inherited = {t.key: t.payload for t in graph}
+        inherited = dict(tasks)
         blobs: Dict[str, Optional[bytes]] = dict.fromkeys(inherited)
         if _fork_available():
             context = multiprocessing.get_context("fork")
@@ -431,9 +315,6 @@ class ParallelEngine:
                 blob = pickle.dumps(inherited.pop(key), protocol=pickle.HIGHEST_PROTOCOL)
                 blobs[key] = blob
                 stats.bytes_pickled += len(blob)
-        results: Dict[str, object] = {}
-        pending: Dict[str, set] = {t.key: set(t.deps) for t in graph}
-        in_flight: Dict[Future, str] = {}  # type: ignore[type-arg]
         # The ONLY pool construction site in src/repro (repro-lint DET005).
         pool = ProcessPoolExecutor(
             max_workers=self.workers,
@@ -442,35 +323,10 @@ class ParallelEngine:
             initargs=(worker, inherited),
         )
         try:
-            while pending or in_flight:
-                ready = [k for k, deps in pending.items() if not deps]
-                stats.max_queue_depth = max(
-                    stats.max_queue_depth, len(ready) + len(in_flight)
-                )
-                for key in ready:
-                    del pending[key]
-                    future = pool.submit(
-                        _pool_call, key, blobs[key], self.capture_alloc
-                    )
-                    in_flight[future] = key
-                if not in_flight:
-                    raise RuntimeError(
-                        f"deadlocked task graph; blocked: {sorted(pending)}"
-                    )
-                done, __ = wait(in_flight, return_when=FIRST_COMPLETED)
-                for future in done:
-                    key = in_flight.pop(future)
-                    # propagates worker errors
-                    value, elapsed, cpu, peak = future.result()
-                    results[key] = value
-                    stats.task_seconds[key] = elapsed
-                    stats.task_cpu_seconds[key] = cpu
-                    if peak >= 0:
-                        stats.task_peak_alloc[key] = peak
-                    for deps in pending.values():
-                        deps.discard(key)
+            futures = {key: pool.submit(_pool_call, key, blob) for key, blob in blobs.items()}
+            # collected in key order; result() re-raises a worker's error
+            return {key: future.result() for key, future in futures.items()}
         finally:
             # join workers before returning: a later process-pool fork in
             # the same interpreter must not inherit live pool threads
             pool.shutdown(wait=True, cancel_futures=True)
-        return results

@@ -56,12 +56,11 @@ class PipelineConfig:
     enable_telemetry: bool = True  # spans + metrics + structured logs
     quality: QualityPolicy = QualityPolicy()  # gate thresholds
     sandbox: SandboxPolicy = SandboxPolicy()  # detector budget/retry policy
-    executor: str = "serial"  # cold-build scoring DAG executor; refreshes run inline
+    executor: str = "serial"  # cold-build scoring-task executor; refreshes run inline
     max_workers: Optional[int] = None  # pool size; None = auto from CPU affinity
     checkpoint_dir: Optional[str] = None  # snapshot store directory; None = off
     checkpoint_every: int = 1  # snapshot after every Nth refresh()
     checkpoint_retain: int = 3  # snapshot files kept on disk
-    perf_alloc: bool = False  # per-task tracemalloc peak capture (slow; opt-in)
 
     def __post_init__(self) -> None:
         # each rejected value would switch detection off without a word:
@@ -227,7 +226,7 @@ class HierarchicalDetectionPipeline:
         :meth:`~repro.plant.PlantDataset.ingest_job` (the one sanctioned
         mutation path) and immediately consumes the dirty set with
         :meth:`PlantHierarchyContext.refresh`, re-scoring only the job's
-        task-DAG closure.  The next :meth:`run` produces reports
+        dirty closure.  The next :meth:`run` produces reports
         byte-identical to a cold pipeline built on the mutated dataset,
         on every executor.  Returns the refresh summary dict.
         """

@@ -604,8 +604,3 @@ def robust_matrix_scores(X: np.ndarray) -> np.ndarray:
     z = np.abs(X - med) / mad
     z = np.where(np.isfinite(z), z, 0.0)
     return z.max(axis=1)
-
-
-def clean_float(x: float, default: float = 0.0) -> float:
-    """A finite float or ``default`` — for JSON-safe health exports."""
-    return float(x) if math.isfinite(x) else default

@@ -1,8 +1,8 @@
-"""The level build: runs the scoring DAG and derives the scored plant.
+"""The level build: runs the scoring tasks and derives the scored plant.
 
 One decision lives here: how task results become a plant's scored state.
-:class:`LevelRunner` runs the level DAG of :mod:`repro.core.tasks`, keeps
-every task's output and event list, and derives from them, in the
+:class:`LevelRunner` runs the scoring tasks of :mod:`repro.core.tasks`,
+keeps every task's output and event list, and derives from them, in the
 canonical task order, the health record and the :class:`ScoredPlant`
 that Algorithm 1 reads.  A cold build, a refresh and a snapshot restore
 all end in that one derivation (DESIGN §10).
@@ -23,11 +23,10 @@ from typing import (
 import numpy as np
 
 from ..obs import Telemetry
-from ..obs.metrics import BYTE_BUCKETS
 from ..plant import PlantDataset
 from .levels import ProductionLevel
 from .outlier import OutlierCandidate
-from .parallel import EngineStats, ParallelEngine, Task, TaskGraph
+from .parallel import EngineStats, ParallelEngine
 from .resilience import FallbackEvent, RunHealth
 from .scores import unify_rank
 from .selection import AlgorithmSelector
@@ -155,7 +154,7 @@ class _TaskState:
 
 
 class LevelRunner:
-    """Runs one plant's level DAG and derives its :class:`ScoredPlant`."""
+    """Runs one plant's scoring tasks and derives its :class:`ScoredPlant`."""
 
     def __init__(
         self,
@@ -177,17 +176,20 @@ class LevelRunner:
         self._tasks = _TaskState()
         # machine -> how many of its jobs (a prefix of ``machine.jobs``)
         # the phase outputs cover; no machine has a scored job yet, so the
-        # first graph scores every job
+        # first task mapping scores every job
         self._scored_jobs: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # engine runs and snapshot restore
     # ------------------------------------------------------------------
-    def run(self, span_name: str, graph: TaskGraph, executor: str) -> ScoredPlant:
-        """Run one task graph on ``executor`` and derive the scored plant.
+    def run(
+        self, span_name: str, tasks: Dict[str, _ScoreTask], executor: str
+    ) -> ScoredPlant:
+        """Run ``tasks`` (see :meth:`task_graph`) on ``executor`` and derive
+        the scored plant.
 
-        Shared by the cold build (the full level DAG, on the configured
-        executor) and the context's refresh (the dirty subgraph, always
+        Shared by the cold build (every task, on the configured executor)
+        and the context's refresh (the dirty closure, always
         ``"serial"``): runs the engine, stores per-task outputs and event
         lists, reassembles the derived stores, rebuilds the health record
         by canonical event replay, re-derives the indexes and the support
@@ -195,9 +197,7 @@ class LevelRunner:
         """
         tracer = self.telemetry.tracer
         with tracer.span(span_name, executor=executor) as outer_span:
-            engine = ParallelEngine(
-                executor, self.config.max_workers, capture_alloc=self.config.perf_alloc
-            )
+            engine = ParallelEngine(executor, self.config.max_workers)
             # process workers' clocks are not comparable with the injected
             # main-process clock: they keep their own, and their span trees
             # graft as roots
@@ -208,7 +208,7 @@ class LevelRunner:
             )
             parent_id = None if pooled or not tracer.enabled else outer_span.span_id
             results, self._tasks.engine_stats = engine.run(
-                graph, cast(Callable[[object], object], worker)
+                tasks, cast(Callable[[object], object], worker)
             )
             self._merge_results(results, parent_id)
             plant = self._index()
@@ -264,13 +264,13 @@ class LevelRunner:
         }
 
     # ------------------------------------------------------------------
-    # task graph construction and merge (see repro.core.parallel)
+    # task construction and merge (see repro.core.parallel)
     # ------------------------------------------------------------------
     def _task_order(self) -> List[Tuple[str, str, str]]:
-        """``(kind, key, unit id)`` of every task of the full level DAG in
-        insertion order — phase per machine, environment per line, the job
-        table, jobs-over-time per line, production — the one definition of
-        the task keys and their order."""
+        """``(kind, key, unit id)`` of every scoring task in insertion order
+        — phase per machine, environment per line, the job table,
+        jobs-over-time per line, production — the one definition of the
+        task keys and their order."""
         dataset = self.dataset
         return [
             *(("phase", f"phase/{m.machine_id}", m.machine_id) for m in dataset.iter_machines()),
@@ -280,30 +280,33 @@ class LevelRunner:
             ("production", "production", ""),
         ]
 
-    def task_graph(self, only: Optional[Set[str]] = None) -> TaskGraph:
-        """Decompose the run into the level DAG (:meth:`_task_order`).
+    def task_graph(self, only: Optional[Set[str]] = None) -> Dict[str, _ScoreTask]:
+        """The run's scoring tasks, task key -> payload in the order of
+        :meth:`_task_order`.
 
         Insertion order mirrors the serial pipeline's historical method
         order — the merge step replays events in this order, which is
-        what makes the health record executor-invariant.
+        what makes the health record executor-invariant.  No task reads
+        another's output, so the engine may run them in any order.
 
         A phase task carries only the machine's jobs its stored outputs
         do not cover yet (every job on a cold build); :meth:`_merge_results`
         appends what it scores.  With ``only`` (a set of task keys — the
-        dirty closure of a refresh), the graph is restricted to those
-        tasks: others are skipped and dependency edges are clamped to the
-        keys actually present, preserving relative insertion order.  A
+        dirty closure of a refresh), the other tasks are left out.  A
         task's output is a function of its payload alone, so a task
-        scheduled in a restricted graph scores exactly as it would in the
-        full one.
+        scheduled in a restricted mapping scores exactly as it would in
+        the full one.
+
+        Raises ``ValueError`` naming a task key that two tasks share (two
+        machines, or two lines, with one id).
         """
         dataset = self.dataset
-        graph = TaskGraph()
-        line_keys: List[str] = []
+        tasks: Dict[str, _ScoreTask] = {}
         for kind, key, unit in self._task_order():
             if only is not None and key not in only:
                 continue
-            deps: Tuple[str, ...] = ()
+            if key in tasks:
+                raise ValueError(f"duplicate task key {key!r}")
             data: Tuple[object, ...]
             if kind == "phase":
                 jobs = tuple(
@@ -336,31 +339,20 @@ class LevelRunner:
                 mat, identity = dataset.jobs_over_time(unit)
                 if mat.shape[0] == 0:
                     continue
-                line_keys.append(key)
                 level, data = ProductionLevel.PRODUCTION_LINE, (unit, mat, tuple(identity))
-                deps = ("job",)
             else:
                 panel, machine_ids = dataset.production_panel()
                 level, data = ProductionLevel.PRODUCTION, (panel, tuple(machine_ids))
-                deps = tuple(line_keys)
-            if only is not None:
-                deps = tuple(dep for dep in deps if dep in graph)
-            graph.add(
-                Task(
-                    key=key,
-                    deps=deps,
-                    payload=_ScoreTask(
-                        kind=kind,
-                        key=key,
-                        level=level,
-                        chain=tuple(self.selector.fallback_chain(level)),
-                        config=self.config,
-                        telemetry_enabled=self.telemetry.enabled,
-                        data=data,
-                    ),
-                )
+            tasks[key] = _ScoreTask(
+                kind=kind,
+                key=key,
+                level=level,
+                chain=tuple(self.selector.fallback_chain(level)),
+                config=self.config,
+                telemetry_enabled=self.telemetry.enabled,
+                data=data,
             )
-        return graph
+        return tasks
 
     def _merge_results(
         self, results: Dict[str, object], parent_id: Optional[int]
@@ -408,7 +400,7 @@ class LevelRunner:
                 tasks.line_out[result.key.split("/", 1)[1]] = output
             elif result.kind == "production":
                 tasks.production_out = output
-            else:  # pragma: no cover - graph construction is exhaustive
+            else:  # pragma: no cover - task construction is exhaustive
                 raise ValueError(f"unknown task kind {result.kind!r}")
             tasks.task_events[result.key] = events
 
@@ -418,8 +410,8 @@ class LevelRunner:
     def _assemble(self) -> ScoredPlant:
         """Derive the plant's score stores from the per-task outputs.
 
-        Iterates machines and lines in dataset order — the same order the
-        full graph inserts tasks — so an incremental refresh (which
+        Iterates machines and lines in dataset order — the order of
+        :meth:`_task_order` — so an incremental refresh (which
         overwrites only the dirty tasks' outputs) reassembles traces and
         candidates in exactly the order a cold build would have produced.
         """
@@ -498,7 +490,7 @@ class LevelRunner:
     def _rebuild_health(self, traces: Dict[str, List[_Trace]]) -> RunHealth:
         """Rebuild the health record by replaying cached task events.
 
-        Replay happens in canonical full-graph insertion order over every
+        Replay happens in the canonical :meth:`_task_order` over every
         task's *current* event list, so after a refresh the health record
         is byte-identical to a cold build on the mutated dataset: re-run
         tasks contribute their fresh events exactly once, untouched tasks
@@ -517,7 +509,7 @@ class LevelRunner:
     ) -> None:
         """Replay one worker-recorded side effect on the main process.
 
-        Event replay happens in graph insertion order, so the resulting
+        Event replay happens in task insertion order, so the resulting
         health record (which is insertion-ordered and first-wins for
         warnings) is identical to the serial pipeline's regardless of the
         executor or scheduling order.  Without ``health`` the event fires
@@ -678,17 +670,13 @@ class LevelRunner:
         )
         self._m_tasks = m.counter(
             "repro_tasks_total",
-            "Scoring tasks executed by the level-DAG engine, by task kind.",
+            "Scoring tasks executed by the execution engine, by task kind.",
             labelnames=("kind",),
         )
         self._m_task_latency = m.histogram(
             "repro_task_latency_seconds",
             "In-worker wall-clock latency of one scoring task.",
             labelnames=("kind",),
-        )
-        self._m_queue_depth = m.gauge(
-            "repro_task_queue_depth",
-            "Peak number of simultaneously ready or in-flight tasks.",
         )
         self._m_parallel_workers = m.gauge(
             "repro_parallel_workers",
@@ -704,13 +692,6 @@ class LevelRunner:
             "repro_perf_task_cpu_seconds",
             "In-worker CPU seconds of one scoring task.",
             labelnames=("kind",),
-        )
-        self._m_perf_alloc = m.histogram(
-            "repro_perf_task_peak_alloc_bytes",
-            "Peak tracemalloc allocation inside one scoring task "
-            "(populated only when allocation capture is enabled).",
-            labelnames=("kind",),
-            buckets=BYTE_BUCKETS,
         )
         self._m_perf_utilization = m.gauge(
             "repro_perf_cpu_utilization",
@@ -730,15 +711,12 @@ class LevelRunner:
         for kind, latencies in sorted(_by_kind(es.task_seconds).items()):
             self._m_tasks.inc(len(latencies), kind=kind)
             self._m_task_latency.observe_many(latencies, kind=kind)
-        self._m_queue_depth.set(float(es.max_queue_depth))
         self._m_parallel_workers.set(float(es.workers), executor=es.executor)
         speedup = es.speedup
         if speedup is not None and math.isfinite(speedup):
             self._m_parallel_speedup.set(speedup)
         for kind, seconds in sorted(_by_kind(es.task_cpu_seconds).items()):
             self._m_perf_cpu.observe_many(seconds, kind=kind)
-        for kind, peaks in sorted(_by_kind(es.task_peak_alloc).items()):
-            self._m_perf_alloc.observe_many(peaks, kind=kind)
         utilization = es.cpu_utilization
         if math.isfinite(utilization):
             self._m_perf_utilization.set(utilization)

@@ -1,11 +1,11 @@
 """The scoring tasks: everything that runs inside a pool worker.
 
-One decision lives here: how one per-machine or per-line task of the
-level DAG turns its picklable :class:`_ScoreTask` payload into scores
+One decision lives here: how one scoring task (per machine, per line or
+plant-wide) turns its picklable :class:`_ScoreTask` payload into scores
 (gate, score through the fallback chain, threshold, pick peaks).  A task
 is a pure function of its payload: it records health/metric side effects
 as an ordered *event list* and its spans on a worker-local tracer, and
-:mod:`repro.core.runner` replays both at merge time in graph insertion
+:mod:`repro.core.runner` replays both at merge time in task insertion
 order, so health, metrics and reports are bit-identical across the serial
 and process executors.  Nothing here touches main-process state: this
 module is the DET1xx worker-purity scope of repro-lint.

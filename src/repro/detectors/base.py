@@ -20,10 +20,9 @@ Table 1 raise :class:`ShapeUnsupportedError` instead of degrading silently.
 from __future__ import annotations
 
 import abc
-import copy
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -242,53 +241,6 @@ class BaseDetector(abc.ABC):
         to amortize the fit (see :class:`~repro.detectors.predictive.ar.ARDetector`).
         """
         return [self.fit_score_series(s, width=width, stride=stride) for s in series_list]
-
-    # ------------------------------------------------------------------
-    # checkpointing
-    # ------------------------------------------------------------------
-    #: Version tag of the generic ``__dict__``-based state format below.
-    #: Detectors that change their attribute layout incompatibly should
-    #: bump their own class-level tag so stale snapshots are rejected
-    #: instead of silently misread.
-    state_format: str = "repro.detector-state/1"
-
-    def state_dict(self) -> Dict[str, object]:
-        """Snapshot the full fitted state of this detector instance.
-
-        The default captures a deep copy of ``__dict__`` — every in-tree
-        detector keeps its model (means, covariances, pattern tables,
-        encoders, …) in plain instance attributes, so this round-trips
-        the fit exactly.  The copy means later fits cannot mutate a
-        snapshot already taken.  The result is pickle-serializable, not
-        JSON-serializable (it contains numpy arrays).
-        """
-        return {
-            "format": self.state_format,
-            "name": self.name,
-            "attrs": copy.deepcopy(self.__dict__),
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> "BaseDetector":
-        """Restore state captured by :meth:`state_dict` onto this instance.
-
-        The receiving instance must be the same detector kind (matched by
-        ``name``) and understand the serialized ``format``; both checks
-        raise ``ValueError`` rather than half-applying foreign state.
-        """
-        if not isinstance(state, dict) or "attrs" not in state:
-            raise ValueError(f"malformed detector state for {self.name!r}")
-        if state.get("format") != self.state_format:
-            raise ValueError(
-                f"detector {self.name!r} cannot load state format "
-                f"{state.get('format')!r} (expected {self.state_format!r})"
-            )
-        if state.get("name") != self.name:
-            raise ValueError(
-                f"detector state for {state.get('name')!r} applied to {self.name!r}"
-            )
-        self.__dict__.clear()
-        self.__dict__.update(copy.deepcopy(state["attrs"]))
-        return self
 
     # ------------------------------------------------------------------
     # capability helpers

@@ -40,7 +40,6 @@ from .catalog import (
 )
 from .logging import JsonLogFormatter, configure_logging, get_logger
 from .metrics import (
-    BYTE_BUCKETS,
     DEFAULT_LATENCY_BUCKETS,
     UNIT_BUCKETS,
     Counter,
@@ -86,7 +85,6 @@ __all__ = [
     "Histogram",
     "DEFAULT_LATENCY_BUCKETS",
     "UNIT_BUCKETS",
-    "BYTE_BUCKETS",
     "CHROME_TRACE_SCHEMA",
     "to_chrome_trace",
     "chrome_trace_to_json",

@@ -102,17 +102,12 @@ METRIC_CATALOG: Dict[str, MetricSpec] = {
     "repro_tasks_total": MetricSpec(
         kind="counter",
         labels=("kind",),
-        help="Scoring tasks executed by the level-DAG engine, by task kind.",
+        help="Scoring tasks executed by the execution engine, by task kind.",
     ),
     "repro_task_latency_seconds": MetricSpec(
         kind="histogram",
         labels=("kind",),
         help="In-worker wall-clock latency of one scoring task.",
-    ),
-    "repro_task_queue_depth": MetricSpec(
-        kind="gauge",
-        labels=(),
-        help="Peak number of simultaneously ready or in-flight tasks.",
     ),
     "repro_parallel_workers": MetricSpec(
         kind="gauge",
@@ -217,12 +212,6 @@ METRIC_CATALOG: Dict[str, MetricSpec] = {
         kind="histogram",
         labels=("kind",),
         help="In-worker CPU seconds of one scoring task.",
-    ),
-    "repro_perf_task_peak_alloc_bytes": MetricSpec(
-        kind="histogram",
-        labels=("kind",),
-        help="Peak tracemalloc allocation inside one scoring task "
-        "(populated only when allocation capture is enabled).",
     ),
     "repro_perf_cpu_utilization": MetricSpec(
         kind="gauge",

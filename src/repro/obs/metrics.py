@@ -28,7 +28,6 @@ __all__ = [
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
     "UNIT_BUCKETS",
-    "BYTE_BUCKETS",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -44,13 +43,6 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
 #: Buckets for quantities living in [0, 1] (support, hit ratios).
 UNIT_BUCKETS: Tuple[float, ...] = (
     0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0
-)
-
-#: Buckets for byte quantities (peak per-task allocation): 4 KiB pages up
-#: to gigabyte-scale panels, decade-ish spacing.
-BYTE_BUCKETS: Tuple[float, ...] = (
-    4096.0, 65536.0, 262144.0, 1048576.0, 4194304.0, 16777216.0,
-    67108864.0, 268435456.0, 1073741824.0,
 )
 
 LabelKey = Tuple[Tuple[str, str], ...]

@@ -477,11 +477,11 @@ def perf_report_rows(
     """Top-``top`` slowest tasks from a run manifest or span-trace doc.
 
     Accepts a ``repro.manifest/1`` document (reads the engine block's
-    ``top_tasks``, which carry wall + CPU + peak-allocation columns) or
-    a ``repro.trace/1`` document (falls back to ``score.*`` span
-    durations; CPU columns are absent there).  Rows are dicts with
-    ``task``, ``kind``, ``wall_seconds`` and optionally ``cpu_seconds``
-    / ``peak_alloc_bytes``, sorted by wall time descending.
+    ``top_tasks``, which carry wall + CPU columns) or a ``repro.trace/1``
+    document (falls back to ``score.*`` span durations; CPU columns are
+    absent there).  Rows are dicts with ``task``, ``kind``,
+    ``wall_seconds`` and optionally ``cpu_seconds``, sorted by wall time
+    descending.
     """
     schema = str(doc.get("schema", ""))
     rows: List[Dict[str, object]] = []

@@ -53,10 +53,6 @@ class FaultEvent:
     outlier_type: Optional[OutlierType] = None
     magnitude: float = 0.0
 
-    @property
-    def is_measurement_error(self) -> bool:
-        return self.kind is FaultKind.SENSOR
-
     def describe(self) -> str:
         """Human-readable one-line summary for reports."""
         where = self.sensor_id or self.redundancy_group or "setup"

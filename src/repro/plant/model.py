@@ -214,47 +214,19 @@ class PlantDataset:
     def split_tail(self, n: int = 1) -> Tuple["PlantDataset", List[Tuple[str, JobRecord]]]:
         """Split off each machine's last ``n`` jobs as a held-out arrival feed.
 
-        Returns ``(base, arrivals)``: ``base`` is a new dataset whose
-        machines carry everything but their final ``n`` jobs (channel and
-        environment payloads are shared, job lists are fresh), and
+        Returns ``(base, arrivals)`` like :meth:`split_at_watermark`: ``base``
+        is a new dataset whose machines carry everything but their final
+        ``n`` jobs (all of them, on a machine with ``n`` or fewer), and
         ``arrivals`` lists the held-out ``(machine_id, job)`` pairs in
         global start order — the replay order a service would see them in.
-        Ground-truth ``faults`` are carried over verbatim (they may
-        reference held-out jobs until those are re-ingested).
         """
         if n < 0:
             raise ValueError("n must be >= 0")
-        arrivals: List[Tuple[float, str, JobRecord]] = []
-        base_lines: List[LineRecord] = []
-        for line in self.lines:
-            machines: List[MachineRecord] = []
-            for m in line.machines:
-                keep = m.jobs[: len(m.jobs) - n] if n else list(m.jobs)
-                held = m.jobs[len(m.jobs) - n :] if n else []
-                arrivals.extend((j.start, m.machine_id, j) for j in held)
-                machines.append(
-                    MachineRecord(
-                        machine_id=m.machine_id,
-                        line_id=m.line_id,
-                        channels=m.channels,
-                        jobs=list(keep),
-                    )
-                )
-            base_lines.append(
-                LineRecord(
-                    line_id=line.line_id,
-                    machines=machines,
-                    environment=line.environment,
-                )
-            )
-        base = PlantDataset(
-            lines=base_lines,
-            faults=list(self.faults),
-            setup_keys=self.setup_keys,
-            caq_keys=self.caq_keys,
+        return self.split_at_watermark(
+            (m.machine_id, j.job_index)
+            for m in self.iter_machines()
+            for j in m.jobs[: len(m.jobs) - min(n, len(m.jobs))]
         )
-        arrivals.sort(key=lambda item: (item[0], item[1]))
-        return base, [(machine_id, job) for __, machine_id, job in arrivals]
 
     def split_at_watermark(
         self, watermark: Iterable[Tuple[str, int]]
@@ -262,14 +234,16 @@ class PlantDataset:
         """Partition at an explicit ingest watermark (checkpoint resume).
 
         ``watermark`` is the set of ``(machine_id, job_index)`` pairs a
-        snapshot recorded as already scored.  Returns ``(base,
-        arrivals)`` exactly like :meth:`split_tail`, except membership is
-        decided by the watermark rather than a per-machine count: ``base``
-        carries the watermarked jobs, ``arrivals`` lists everything past
-        the watermark in global start order — the tail a resumed pipeline
-        must replay through ``ingest_job``.  Raises ``ValueError`` when
-        the watermark references jobs this dataset does not contain (the
-        snapshot belongs to a different plant).
+        snapshot recorded as already scored.  Returns ``(base, arrivals)``:
+        ``base`` is a new dataset whose machines carry the watermarked jobs
+        (channel and environment payloads are shared, job lists are fresh),
+        and ``arrivals`` lists every other ``(machine_id, job)`` pair in
+        global start order — the tail a resumed pipeline must replay
+        through ``ingest_job``.  Ground-truth ``faults`` are carried over
+        verbatim (they may reference held-out jobs until those are
+        re-ingested).  Raises ``ValueError`` when the watermark references
+        jobs this dataset does not contain (the snapshot belongs to a
+        different plant).
         """
         marked = {(machine_id, int(job_index)) for machine_id, job_index in watermark}
         present = {

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-import pytest
-
 from repro.core import (
     HierarchyContext,
     LevelConfirmation,

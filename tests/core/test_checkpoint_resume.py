@@ -7,7 +7,7 @@ past the ingest watermark and ends byte-identical — reports, health,
 executor and under chaos degradation.  Alongside the end-to-end
 property: unit coverage of the atomic writer, the snapshot container
 format (CRC, retention, versioning + migration, corrupt-file fallback),
-the fitted-detector and stream-monitor state contracts, and the
+the stream-monitor state contract, and the
 post-ingest ``save_plant``/``load_plant`` round trip.
 """
 
@@ -33,21 +33,13 @@ from repro.core.checkpoint import (
     SNAPSHOT_VERSION,
     SnapshotError,
     SnapshotStore,
-    pack_detector,
     register_migration,
     resume_pipeline,
-    unpack_detector,
 )
 from repro.core.pipeline import HierarchicalDetectionPipeline, PipelineConfig
-from repro.detectors import BASELINE_ROWS, TABLE1_ROWS, make_detector
 from repro.io import load_plant, reports_to_json, save_plant
 from repro.plant import ChaosConfig, PlantConfig, inject_chaos, simulate_plant
 from repro.streaming import StreamingSensorMonitor
-from repro.synthetic import (
-    make_point_dataset,
-    make_sequence_dataset,
-    make_series_collection,
-)
 
 SEEDS = (3, 11, 29)
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -231,52 +223,6 @@ class TestMigrations:
         _craft_snapshot(path, {"legacy": 1}, version=0)
         with pytest.raises(SnapshotError, match="no migration"):
             SnapshotStore(tmp_path).load(path)
-
-
-# ----------------------------------------------------------------------
-# fitted-detector state round trip (all 29 registry detectors)
-# ----------------------------------------------------------------------
-_PTS = make_point_dataset(np.random.default_rng(42))
-_SSQ = make_sequence_dataset(np.random.default_rng(42))
-_TSS, _TSS_LABELS = make_series_collection(np.random.default_rng(42))
-
-
-def _workload_for(entry):
-    pts, ssq, tss = entry.capabilities()
-    if pts:
-        return _PTS.X
-    if tss:
-        return list(_TSS)
-    return list(_SSQ.sequences)
-
-
-class TestDetectorStateRoundTrip:
-    @pytest.mark.parametrize("entry", TABLE1_ROWS + BASELINE_ROWS,
-                             ids=lambda e: e.name)
-    def test_state_dict_restores_identical_scores(self, entry):
-        data = _workload_for(entry)
-        fitted = entry.factory().fit(data)
-        restored = make_detector(entry.name).load_state_dict(
-            pack_detector(fitted)
-        )
-        np.testing.assert_array_equal(fitted.score(data), restored.score(data))
-
-    def test_unpack_resolves_class_through_registry(self):
-        fitted = make_detector("mad").fit(_PTS.X)
-        restored = unpack_detector(pack_detector(fitted))
-        assert type(restored) is type(fitted)
-        np.testing.assert_array_equal(
-            fitted.score(_PTS.X), restored.score(_PTS.X)
-        )
-
-    def test_malformed_state_rejected(self):
-        det = make_detector("mad")
-        with pytest.raises(ValueError, match="malformed"):
-            det.load_state_dict({"format": det.state_format})
-        with pytest.raises(ValueError):
-            det.load_state_dict({"format": "other/9", "name": "mad", "attrs": {}})
-        with pytest.raises(SnapshotError, match="name"):
-            unpack_detector({"format": det.state_format, "attrs": {}})
 
 
 # ----------------------------------------------------------------------

@@ -409,6 +409,25 @@ class TestSplitTail:
         with pytest.raises(ValueError):
             _plant(3).split_tail(-1)
 
+    def test_tail_at_or_past_a_machines_job_count(self):
+        k = 3
+        dataset = simulate_plant(
+            PlantConfig(seed=7, n_lines=1, machines_per_line=2, jobs_per_machine=k)
+        )
+        for n in (k - 1, k, k + 1, 2 * k - 1):
+            held = min(n, k)
+            base, arrivals = dataset.split_tail(n)
+            for m_base, m_full in zip(base.iter_machines(), dataset.iter_machines()):
+                assert m_base.jobs == m_full.jobs[: k - held], n
+            expected = sorted(
+                (job.start, m.machine_id, job.job_index)
+                for m in dataset.iter_machines()
+                for job in m.jobs[k - held:]
+            )
+            assert [
+                (job.start, machine_id, job.job_index) for machine_id, job in arrivals
+            ] == expected, n
+
 
 # ----------------------------------------------------------------------
 # scoped eviction + incremental stats

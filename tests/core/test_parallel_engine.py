@@ -1,10 +1,12 @@
-"""Unit tests for the level-DAG execution engine (repro.core.parallel).
+"""Unit tests for the execution engine (repro.core.parallel) and the
+scoring tasks it runs.
 
 The engine's contract is deterministic merge order: whatever the
 executor and whatever order tasks *complete* in, ``run`` returns results
-keyed in graph insertion order.  These tests pin that contract plus the
-graph invariants (topological-by-construction, duplicate/unknown-dep
-rejection) and the stats the pipeline folds into metrics.
+keyed in the insertion order of its task mapping.  These tests pin that
+contract, the stats the pipeline folds into metrics, the runner's task
+mapping (canonical order, duplicate-key rejection), and the property the
+engine relies on: no scoring task depends on another having run first.
 """
 
 from __future__ import annotations
@@ -17,18 +19,18 @@ import signal
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
-from repro.core import parallel
-from repro.core.parallel import (
-    EXECUTORS,
-    EngineStats,
-    ParallelEngine,
-    Task,
-    TaskGraph,
-    resolve_workers,
-)
+from repro.core import PipelineConfig, parallel
+from repro.core.parallel import EXECUTORS, EngineStats, ParallelEngine, resolve_workers
+from repro.core.resilience import DetectorSandbox
+from repro.core.runner import LevelRunner
+from repro.core.selection import AlgorithmSelector
+from repro.core.tasks import _TASK_RUNNERS, _ScoreTask, _WorkerState
+from repro.obs.trace import Tracer
+from repro.plant import ChaosConfig, PlantConfig, inject_chaos, simulate_plant
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -47,8 +49,15 @@ class _Recorded:
         return (_Recorded, (self.value,))
 
 
-def _square(payload):
-    # module-level so it crosses the pickle boundary where fork is missing
+#: an insertion order that is not the sorted one
+_TASKS = {"c": 4, "a": 2, "d": 5, "b": 3}
+
+
+def _square_first_slowest(payload):
+    # module-level so it crosses the pickle boundary where fork is missing;
+    # the first task of _TASKS finishes last on a pool
+    if payload == 4:
+        time.sleep(0.2)
     return payload * payload
 
 
@@ -62,33 +71,46 @@ def _fail_on_three(payload):
     return payload
 
 
-def _diamond_graph() -> TaskGraph:
-    graph = TaskGraph()
-    graph.add(Task(key="a", payload=2))
-    graph.add(Task(key="b", payload=3))
-    graph.add(Task(key="c", payload=4, deps=("a", "b")))
-    graph.add(Task(key="d", payload=5, deps=("c",)))
-    return graph
+def _runner(dataset) -> LevelRunner:
+    return LevelRunner(dataset, AlgorithmSelector(), PipelineConfig(), None)
 
 
 class TestTaskGraph:
-    def test_insertion_order_is_canonical(self):
-        graph = _diamond_graph()
-        assert graph.keys == ["a", "b", "c", "d"]
-        assert len(graph) == 4
-        assert graph.n_edges == 3
-        assert "c" in graph and "z" not in graph
+    """The runner's task mapping, which the engine runs."""
+
+    def test_insertion_order_is_canonical(self, small_plant):
+        machines = [m.machine_id for m in small_plant.iter_machines()]
+        lines = [line.line_id for line in small_plant.lines]
+        tasks = _runner(small_plant).task_graph()
+        assert list(tasks) == [
+            *(f"phase/{m}" for m in machines),
+            *(f"env/{line}" for line in lines),
+            "job",
+            *(f"line/{line}" for line in lines),
+            "production",
+        ]
+        assert all(task.key == key for key, task in tasks.items())
+        only = {"production", "job", f"phase/{machines[-1]}"}
+        restricted = _runner(small_plant).task_graph(only=only)
+        assert list(restricted) == [f"phase/{machines[-1]}", "job", "production"]
 
     def test_duplicate_key_rejected(self):
-        graph = TaskGraph()
-        graph.add(Task(key="a", payload=1))
-        with pytest.raises(ValueError, match="duplicate task key"):
-            graph.add(Task(key="a", payload=2))
-
-    def test_unknown_dependency_rejected(self):
-        graph = TaskGraph()
-        with pytest.raises(ValueError, match="unknown task"):
-            graph.add(Task(key="b", payload=1, deps=("a",)))
+        plant = simulate_plant(
+            PlantConfig(seed=7, n_lines=2, machines_per_line=1, jobs_per_machine=3)
+        )
+        # two machines with one id, then two lines with one id
+        twin_machines, __ = plant.split_tail(0)
+        first, second = (line.machines[0] for line in twin_machines.lines)
+        second.machine_id = first.machine_id
+        twin_machines.invalidate_indexes()
+        with pytest.raises(ValueError, match=f"duplicate task key 'phase/{first.machine_id}'"):
+            _runner(twin_machines).task_graph()
+        twin_lines, __ = plant.split_tail(0)
+        twin_lines.lines[1].line_id = twin_lines.lines[0].line_id
+        twin_lines.invalidate_indexes()
+        line_id = twin_lines.lines[0].line_id
+        with pytest.raises(ValueError, match=f"duplicate task key 'env/{line_id}'"):
+            _runner(twin_lines).task_graph()
 
 
 class TestResolveWorkers:
@@ -120,30 +142,18 @@ class TestParallelEngine:
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_results_in_insertion_order(self, executor):
         engine = ParallelEngine(executor, max_workers=2)
-        results, stats = engine.run(_diamond_graph(), _square)
-        assert list(results) == ["a", "b", "c", "d"]
+        results, stats = engine.run(_TASKS, _square_first_slowest)
+        assert list(results) == ["c", "a", "d", "b"]
         assert results == {"a": 4, "b": 9, "c": 16, "d": 25}
         assert stats.executor == executor
         assert stats.n_tasks == 4
-        assert set(stats.task_seconds) == {"a", "b", "c", "d"}
-        assert stats.max_queue_depth >= 1
+        assert list(stats.task_seconds) == list(stats.task_cpu_seconds) == list(_TASKS)
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_worker_errors_propagate(self, executor):
-        graph = TaskGraph()
-        for i in range(5):
-            graph.add(Task(key=f"t{i}", payload=i))
         engine = ParallelEngine(executor, max_workers=2)
         with pytest.raises(ValueError, match="task three exploded"):
-            engine.run(graph, _fail_on_three)
-
-    def test_queue_depth_sees_parallel_slack(self):
-        # 6 independent tasks: all ready at once
-        graph = TaskGraph()
-        for i in range(6):
-            graph.add(Task(key=f"t{i}", payload=i))
-        __, stats = ParallelEngine("serial").run(graph, _square)
-        assert stats.max_queue_depth == 6
+            engine.run({f"t{i}": i for i in range(5)}, _fail_on_three)
 
 
 class TestEngineStats:
@@ -174,11 +184,8 @@ class TestEngineStats:
         assert json.loads(json.dumps(doc)) == doc
 
 
-def _recorded_diamond() -> TaskGraph:
-    graph = TaskGraph()
-    for task in _diamond_graph():
-        graph.add(Task(key=task.key, payload=_Recorded(task.payload), deps=task.deps))
-    return graph
+def _recorded_tasks():
+    return {key: _Recorded(value) for key, value in _TASKS.items()}
 
 
 @pytest.fixture
@@ -194,24 +201,24 @@ class TestTransport:
     def test_fork_pickles_no_payload(self):
         _PICKLED.clear()
         results, stats = ParallelEngine("process", max_workers=2).run(
-            _recorded_diamond(), _square_recorded
+            _recorded_tasks(), _square_recorded
         )
         assert _PICKLED == []  # the workers inherited all four payloads
-        assert list(results) == ["a", "b", "c", "d"]
+        assert list(results) == list(_TASKS)
         assert results == {"a": 4, "b": 9, "c": 16, "d": 25}
         assert stats.transport_mode == "fork"
         assert stats.bytes_pickled == 0
         assert stats.as_dict()["transport"]["mode"] == "fork"
 
     def test_pickle_path_matches_serial(self, no_fork):
-        graph = _recorded_diamond()
-        serial, __ = ParallelEngine("serial").run(graph, _square_recorded)
+        tasks = _recorded_tasks()
+        serial, __ = ParallelEngine("serial").run(tasks, _square_recorded)
         payload_bytes = sum(
-            len(pickle.dumps(t.payload, protocol=pickle.HIGHEST_PROTOCOL)) for t in graph
+            len(pickle.dumps(p, protocol=pickle.HIGHEST_PROTOCOL)) for p in tasks.values()
         )
         _PICKLED.clear()
         results, stats = ParallelEngine("process", max_workers=2).run(
-            graph, _square_recorded
+            tasks, _square_recorded
         )
         assert sorted(_PICKLED) == [2, 3, 4, 5]  # each payload pickled once
         assert list(results) == list(serial)
@@ -221,7 +228,7 @@ class TestTransport:
 
     def test_pickle_path_raises_on_an_unpicklable_payload(self, tmp_path):
         # in a child process in a new process group: an engine that hangs on
-        # this graph fails the test on timeout instead of hanging the
+        # these tasks fails the test on timeout instead of hanging the
         # suite, and killing the group reaps any pool workers it left
         script = tmp_path / "unpicklable.py"
         script.write_text(textwrap.dedent('''
@@ -233,11 +240,9 @@ class TestTransport:
                     raise pickle.PicklingError("this payload does not pickle")
 
             parallel._fork_available = lambda: False
-            graph = parallel.TaskGraph()
-            graph.add(parallel.Task(key="ok", payload=1))
-            graph.add(parallel.Task(key="bad", payload=Unpicklable()))
+            tasks = {"ok": 1, "bad": Unpicklable()}
             try:
-                parallel.ParallelEngine("process", max_workers=2).run(graph, abs)
+                parallel.ParallelEngine("process", max_workers=2).run(tasks, abs)
             except pickle.PicklingError as exc:
                 # a pool relays a pickling error from its feeder thread
                 # with the remote traceback as the cause
@@ -260,3 +265,43 @@ class TestTransport:
             pytest.fail("the engine hung on an unpicklable payload")
         assert child.returncode == 0, err
         assert out.strip() == "raised: this payload does not pickle | relayed: False"
+
+
+def _frozen_run(task: _ScoreTask) -> bytes:
+    """One scoring task on frozen clocks: its output, events and batch-group
+    count, pickled (a worker's spans, which carry clock times, are left out)."""
+    state = _WorkerState(
+        config=task.config,
+        level=task.level,
+        chain=task.chain,
+        tracer=Tracer(clock=lambda: 0.0, enabled=task.telemetry_enabled),
+        sandbox=DetectorSandbox(task.config.sandbox, clock=lambda: 0.0),
+        telemetry_enabled=task.telemetry_enabled,
+    )
+    output = _TASK_RUNNERS[task.kind](state, task.data)
+    return pickle.dumps((output, state.events, state.batch_groups))
+
+
+class TestTaskIndependence:
+    def test_reverse_order_scores_every_task_alike(self, small_plant):
+        # The engine may run a build's tasks in any order because no task
+        # reads what another one leaves behind.  The reverse order runs
+        # first, so a task that reads a value another task writes sees it
+        # unset (or stale) there and set in the forward run.
+        dataset, __ = inject_chaos(
+            small_plant,
+            ChaosConfig(seed=4, sensor_dropout_rate=0.1, nan_burst_rate=0.3,
+                        nan_burst_length=40, stuck_rate=0.15, truncate_rate=0.15),
+        )
+        tasks = _runner(dataset).task_graph()
+        assert {task.kind for task in tasks.values()} == {
+            "phase", "env", "job", "line", "production"
+        }
+        engine = ParallelEngine("serial")
+        backward, __ = engine.run(dict(reversed(list(tasks.items()))), _frozen_run)
+        forward, __ = engine.run(tasks, _frozen_run)
+        assert list(backward) == list(reversed(list(forward)))
+        for key in tasks:
+            assert backward[key] == forward[key], key
+        events = [kind for blob in forward.values() for kind, __ in pickle.loads(blob)[1]]
+        assert {"quarantine", "obs"} <= set(events)

@@ -142,6 +142,9 @@ class TestPipelineTransport:
         assert es.bytes_shared == 0
         assert es.as_dict()["transport"]["mode"] == "fork"
         assert _leaked_segments() == []
+        # every task's CPU seconds, measured in its worker, came back
+        assert list(es.task_cpu_seconds) == list(es.task_seconds)
+        assert len(es.task_seconds) == es.n_tasks
 
     def test_pickle_transport_byte_identical_with_serial(self, monkeypatch):
         # the transport of platforms without fork, forced
@@ -202,22 +205,25 @@ class TestSpeedupDefinition:
 
     def test_snapshot_without_new_fields_still_reports(self):
         # an EngineStats unpickled from a pre-transport snapshot lacks
-        # every field added since the first snapshot format; accessors
+        # every field added since the first snapshot format and carries
+        # the retired queue-depth and peak-allocation fields; accessors
         # must not explode
         stats = EngineStats(
             executor="serial", workers=1, n_tasks=2, wall_seconds=2.0,
-            task_seconds={"a": 1.0}, max_queue_depth=1,
+            task_seconds={"a": 1.0},
         )
         for name in list(stats.__dict__):
             if name not in ("executor", "workers", "n_tasks", "wall_seconds",
-                            "task_seconds", "max_queue_depth"):
+                            "task_seconds"):
                 del stats.__dict__[name]
+        stats.__dict__.update(max_queue_depth=1, task_peak_alloc={"a": 4096})
         stats = pickle.loads(pickle.dumps(stats))
         assert stats.speedup == pytest.approx(0.5)
         summary = stats.as_dict()
         assert summary["serial_baseline_seconds"] is None
         assert summary["transport"]["mode"] == "pickle"
         assert summary["transport"]["bytes_shared"] == 0
+        assert summary["top_tasks"] == [{"task": "a", "kind": "a", "wall_seconds": 1.0}]
 
 
 @pytest.mark.skipif(

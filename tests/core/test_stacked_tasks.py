@@ -200,9 +200,9 @@ def _tasks(base_plant, case: str) -> List[_ScoreTask]:
         )
     # the payloads the pipeline itself would ship, without running it
     return [
-        cast(_ScoreTask, task.payload)
-        for task in LevelRunner(dataset, selector, config, None).task_graph()
-        if task.key.startswith(("phase/", "env/"))
+        task
+        for key, task in LevelRunner(dataset, selector, config, None).task_graph().items()
+        if key.startswith(("phase/", "env/"))
     ]
 
 

@@ -10,7 +10,6 @@ from repro.synthetic import (
     OutlierType,
     ar_process,
     inject_additive,
-    inject_innovative,
     inject_level_shift,
     inject_temporary_change,
 )

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.corpus import (
     ACS_CATEGORY,
-    FIELD_PROFILES,
     FIELD_TERMS,
     TIME_SERIES_TOPIC,
     CorpusIndex,

@@ -21,7 +21,7 @@ from repro.detectors import (
     SAXDiscordDetector,
 )
 from repro.eval import roc_auc
-from repro.timeseries import DiscreteSequence, TimeSeries
+from repro.timeseries import DiscreteSequence
 
 
 class TestSymbolDetectorsOnSeriesCollections:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.detectors.olap.operations import CellSummary, CubeExplorer
+from repro.detectors.olap.operations import CubeExplorer
 
 
 @pytest.fixture

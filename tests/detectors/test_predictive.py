@@ -8,7 +8,6 @@ import pytest
 from repro.detectors import ARDetector, NotFittedError, VARDetector, fit_ar_coefficients
 from repro.eval import roc_auc
 from repro.synthetic import ar_process, inject_additive, inject_level_shift
-from repro.timeseries import TimeSeries
 
 
 class TestFitAR:

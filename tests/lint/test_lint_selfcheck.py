@@ -2,8 +2,9 @@
 
 Four cross-artifact consistency surfaces, plus a size limit:
 
-* ``src/repro`` lints clean (the tentpole acceptance criterion), and no
-  module in it has more than 1,000 lines;
+* ``src/repro`` lints clean (the tentpole acceptance criterion), no
+  module in it has more than 1,000 lines, and no module of the trees
+  ``ruff check`` covers has an unused top-level import (its F401);
 * the Table-1 manifest matches the live registry class-for-class (all
   29 detectors) and tampering with it is detected;
 * the metric catalog agrees with a live pipeline run and with the
@@ -13,12 +14,14 @@ Four cross-artifact consistency surfaces, plus a size limit:
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import Dict, Iterator, List, Sequence, Set
 
 import pytest
 
@@ -27,6 +30,81 @@ from tools.lint.rules import make_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 MANIFEST = REPO_ROOT / "tools" / "lint" / "table1_manifest.json"
+
+#: the trees CI's ``ruff check`` covers; its configuration exempts
+#: ``__init__.py`` re-export hubs from F401 and skips the fixture trees
+RUFF_TREES = ("src", "tools", "tests", "benchmarks")
+RUFF_EXCLUDED = ("tests", "lint", "fixtures")
+
+
+def _module_scope(body: Sequence[ast.stmt]) -> Iterator[ast.stmt]:
+    """Module-level statements, including those under ``if``/``try``/``with``."""
+    for node in body:
+        yield node
+        if isinstance(node, (ast.If, ast.Try, ast.With)):
+            for block in ("body", "orelse", "finalbody"):
+                yield from _module_scope(getattr(node, block, []))
+            for handler in getattr(node, "handlers", []):
+                yield from _module_scope(handler.body)
+
+
+def _quoted_annotation_names(tree: ast.Module) -> Set[str]:
+    """Names inside string annotations (``x: "PipelineConfig"``)."""
+    annotations: List[ast.expr] = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            args = (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+            annotations += [arg.annotation for arg in args if arg and arg.annotation]
+            annotations += [node.returns] if node.returns else []
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names: Set[str] = set()
+    for sub in (s for a in annotations for s in ast.walk(a)):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                parsed = ast.parse(sub.value, mode="eval")
+            except SyntaxError:  # a Literal["..."] value, not a type
+                continue
+            names.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+    return names
+
+
+def _unused_imports(path: Path) -> List[str]:
+    """Top-level imports of ``path`` that nothing in it names: what ruff's
+    F401 reports there, for a checkout without ruff.  A redundant alias
+    (``import x as x``), ``__all__`` and a ``# noqa`` comment mark an
+    import as used, as they do for ruff."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=str(path))
+    imported: Dict[str, int] = {}
+    exported: Set[str] = set()
+    for node in _module_scope(tree.body):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            span = lines[node.lineno - 1 : node.end_lineno]
+            if any(re.search(r"#\s*noqa(?!:)|#\s*noqa:[^#]*\bF401\b", line) for line in span):
+                continue
+            for alias in node.names:
+                if alias.name == "*" or alias.asname == alias.name:
+                    continue
+                bound = alias.asname or alias.name
+                if isinstance(node, ast.Import):
+                    bound = bound.split(".")[0]
+                imported[bound] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            if isinstance(node.value, (ast.List, ast.Tuple)):
+                exported.update(
+                    e.value for e in node.value.elts if isinstance(e, ast.Constant)
+                )
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= exported | _quoted_annotation_names(tree)
+    rel = path.relative_to(REPO_ROOT)
+    return [f"{rel}:{line}: {name}" for name, line in imported.items() if name not in used]
 
 
 class TestRealTreeIsClean:
@@ -43,6 +121,17 @@ class TestRealTreeIsClean:
             for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
         }
         assert {p: n for p, n in sizes.items() if n > 1000} == {}
+
+    def test_no_unused_top_level_imports(self):
+        unused = [
+            finding
+            for tree in RUFF_TREES
+            for path in sorted((REPO_ROOT / tree).rglob("*.py"))
+            if path.name != "__init__.py"
+            and path.relative_to(REPO_ROOT).parts[:3] != RUFF_EXCLUDED
+            for finding in _unused_imports(path)
+        ]
+        assert unused == [], "\n".join(unused)
 
 
 class TestManifestMatchesRegistry:

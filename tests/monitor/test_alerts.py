@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import HierarchicalOutlierReport, OutlierCandidate, ProductionLevel
-from repro.monitor import Alert, AlertManager, AlertState, Severity, triple_severity
+from repro.monitor import AlertManager, AlertState, Severity, triple_severity
 
 L = ProductionLevel
 

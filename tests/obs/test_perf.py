@@ -228,7 +228,6 @@ class TestEngineStatsAttribution:
             wall_seconds=2.0,
             task_seconds={"phase/m0": 1.0, "job": 0.5, "production": 0.25},
             task_cpu_seconds={"phase/m0": 0.8, "job": 0.5, "production": 0.2},
-            task_peak_alloc={"phase/m0": 2048, "job": 1024, "production": 512},
         )
 
     def test_cpu_totals_and_utilization(self):
@@ -241,12 +240,10 @@ class TestEngineStatsAttribution:
         assert [r["task"] for r in rows] == ["phase/m0", "job"]
         assert rows[0]["kind"] == "phase"
         assert rows[0]["cpu_seconds"] == pytest.approx(0.8)
-        assert rows[0]["peak_alloc_bytes"] == 2048
 
     def test_as_dict_is_json_safe_with_attribution(self):
         doc = json.loads(json.dumps(self._stats().as_dict()))
         assert doc["cpu_seconds"] == pytest.approx(1.5)
-        assert doc["alloc_tracked"] is True
         assert len(doc["top_tasks"]) == 3
 
     def test_tolerates_pre_perf_snapshots(self):
@@ -254,11 +251,10 @@ class TestEngineStatsAttribution:
         # before the attribution fields existed unpickle without them
         es = self._stats()
         del es.__dict__["task_cpu_seconds"]
-        del es.__dict__["task_peak_alloc"]
         es = pickle.loads(pickle.dumps(es))
         doc = es.as_dict()
         assert doc["cpu_seconds"] == 0.0
-        assert doc["alloc_tracked"] is False
+        assert "cpu_seconds" not in es.top_tasks(1)[0]
         assert es.top_tasks(1)[0]["task"] == "phase/m0"
 
 
@@ -272,7 +268,7 @@ def _manifest_doc():
             "cpu_seconds": 1.5,
             "top_tasks": [
                 {"task": "phase/m0", "kind": "phase", "wall_seconds": 1.0,
-                 "cpu_seconds": 0.8, "peak_alloc_bytes": 2048},
+                 "cpu_seconds": 0.8},
                 {"task": "job", "kind": "job", "wall_seconds": 0.5},
             ],
         },
@@ -284,7 +280,7 @@ class TestPerfReport:
         rows = perf_report_rows(_manifest_doc(), top=1)
         assert rows == [
             {"task": "phase/m0", "kind": "phase", "wall_seconds": 1.0,
-             "cpu_seconds": 0.8, "peak_alloc_bytes": 2048}
+             "cpu_seconds": 0.8}
         ]
 
     def test_trace_rows(self):
@@ -305,40 +301,20 @@ class TestCaptureInvariance:
     """Perf capture must never perturb detection results."""
 
     @staticmethod
-    def _detect(plant, **config_kwargs):
-        from repro.core import HierarchicalDetectionPipeline, PipelineConfig
+    def _detect(plant):
+        from repro.core import HierarchicalDetectionPipeline
         from repro.io import reports_to_json
 
-        pipeline = HierarchicalDetectionPipeline(
-            plant, config=PipelineConfig(**config_kwargs)
-        )
+        pipeline = HierarchicalDetectionPipeline(plant)
         return reports_to_json(
             pipeline.run(), health=pipeline.health, stats=pipeline.stats()
         )
-
-    def test_alloc_capture_is_byte_invisible(self, small_plant):
-        plain = self._detect(small_plant)
-        captured = self._detect(small_plant, perf_alloc=True)
-        assert captured == plain
 
     def test_profiler_is_byte_invisible(self, small_plant):
         plain = self._detect(small_plant)
         with SamplingProfiler(interval=0.001):
             profiled = self._detect(small_plant)
         assert profiled == plain
-
-    def test_alloc_capture_populates_engine_stats(self, small_plant):
-        from repro.core import HierarchicalDetectionPipeline, PipelineConfig
-
-        pipeline = HierarchicalDetectionPipeline(
-            small_plant, config=PipelineConfig(perf_alloc=True)
-        )
-        pipeline.run()
-        stats = pipeline.context.engine_stats()
-        assert stats.task_peak_alloc
-        assert set(stats.task_peak_alloc) == set(stats.task_seconds)
-        assert all(v >= 0 for v in stats.task_peak_alloc.values())
-        assert set(stats.task_cpu_seconds) == set(stats.task_seconds)
 
 
 class TestPerfCli:

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.plant import CAQ_LIMITS, evaluate_caq
 from repro.plant.model import PhaseRecord
-from repro.timeseries import DiscreteSequence, TimeSeries
+from repro.timeseries import DiscreteSequence
 
 
 def _phase(n=100):

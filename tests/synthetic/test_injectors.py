@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.synthetic import (
-    Injection,
     LabeledSeries,
     OutlierType,
     constant,

@@ -33,6 +33,7 @@ class TestParser:
             ["detect", "--batch-scoring"],
             ["detect", "--executor", "thread"],
             ["sanitize", "--executor", "thread"],
+            ["detect", "--perf-alloc"],
         ],
     )
     def test_removed_options_are_usage_errors(self, argv, capsys):
@@ -86,6 +87,16 @@ class TestCommands:
         )
         assert "cpu_utilization" in engine_line
         assert "speedup" not in engine_line
+
+    def test_ingest_tail_must_leave_a_job_per_machine(self, plant_file, capsys):
+        # every machine of the plant has 4 jobs: holding out 4 leaves a
+        # base plant with no job to score cold
+        rc = main(["detect", "--plant", str(plant_file), "--ingest-tail", "4"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("detect: --ingest-tail 4 must be smaller than")
+        assert "job(s) of machine line-0/" in err[0]
 
     def test_detect_explain(self, plant_file, capsys):
         rc = main(["detect", "--plant", str(plant_file), "--explain", "2"])
