@@ -18,9 +18,22 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 __all__ = ["main", "build_parser"]
+
+
+def _count(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type=`` for an integer option of at least ``minimum``:
+    anything else is a usage error (exit 2), never a traceback or a value
+    quietly read as another."""
+    def count(text: str) -> int:
+        value = int(text)  # a ValueError reads "invalid count value"
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,10 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("serial", "process"),
                      help="scoring-task execution engine backend; reports are "
                           "byte-identical across both")
-    det.add_argument("--max-workers", type=int, default=None, metavar="N",
+    det.add_argument("--max-workers", type=_count(1), default=None, metavar="N",
                      help="worker-pool cap for --executor process "
                           "(default: available cpu cores)")
-    det.add_argument("--ingest-tail", type=int, default=0, metavar="N",
+    det.add_argument("--ingest-tail", type=_count(0), default=0, metavar="N",
                      help="hold out each machine's last N jobs, score the "
                           "base plant cold, then ingest the held-out jobs "
                           "one by one through the incremental refresh and "
@@ -94,11 +107,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "directory (one after the cold build, then one per "
                           "--checkpoint-every refreshes); `repro resume` "
                           "warm-restarts from the newest one")
-    det.add_argument("--checkpoint-every", type=int, default=1, metavar="N",
+    det.add_argument("--checkpoint-every", type=_count(1), default=1, metavar="N",
                      help="snapshot after every N-th incremental refresh")
-    det.add_argument("--checkpoint-retain", type=int, default=3, metavar="N",
+    det.add_argument("--checkpoint-retain", type=_count(1), default=3, metavar="N",
                      help="keep only the newest N snapshot files")
-    det.add_argument("--chaos-kill-after", type=int, default=0, metavar="N",
+    det.add_argument("--chaos-kill-after", type=_count(0), default=0, metavar="N",
                      help="chaos: SIGKILL this process immediately after the "
                           "N-th post-build snapshot write (requires "
                           "--checkpoint-dir; pair with --ingest-tail so "
@@ -192,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("serial", "process"),
                      help="executor for the traced run (default: serial — "
                           "the RNG traps see only in-process scoring)")
-    san.add_argument("--max-workers", type=int, default=None)
+    san.add_argument("--max-workers", type=_count(1), default=None)
     san.add_argument("--chaos-dropout", type=float, default=0.0, metavar="RATE",
                      help="inject sensor-dropout chaos before every check")
     san.add_argument("--chaos-seed", type=int, default=0)

@@ -325,6 +325,9 @@ class PlantHierarchyContext(HierarchyContext):
         if not dirty:
             return {"dirty_jobs": 0, "dirty_tasks": 0, "task_keys": [], "evicted": {},
                     "retained": {}, "wall_seconds": 0.0}
+        # a long-lived pipeline keeps the span trees of its latest refresh
+        # and run only (docs/OBSERVABILITY.md, "Span retention")
+        self.telemetry.tracer.drop_trees(("pipeline.refresh", "alg1.run"))
         self._ensure_incremental_instruments()
         dirty_machines: List[str] = []
         for machine_id, __ in dirty:
@@ -340,7 +343,7 @@ class PlantHierarchyContext(HierarchyContext):
             closure.add(f"phase/{machine_id}")
             closure.add(f"line/{self.dataset.line_of(machine_id).line_id}")
         tasks = self._runner.task_graph(only=closure)
-        self._plant = self._runner.run("pipeline.refresh", tasks, "serial")
+        self._plant = self._runner.run("pipeline.refresh", tasks, "serial", self._plant)
         phase_changed = not np.array_equal(
             old_phase_scores, self._plant.phase_scores_sorted
         )

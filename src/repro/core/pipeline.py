@@ -90,6 +90,9 @@ class PipelineConfig:
             )
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
+        for name in ("checkpoint_every", "checkpoint_retain"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 class HierarchicalDetectionPipeline:
@@ -127,7 +130,7 @@ class HierarchicalDetectionPipeline:
                 retain=self.config.checkpoint_retain,
                 telemetry=self.telemetry,
             ),
-            every=max(1, self.config.checkpoint_every),
+            every=self.config.checkpoint_every,
         )
 
     @classmethod

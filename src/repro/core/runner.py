@@ -90,17 +90,59 @@ def _trace_at(
     return None
 
 
+def _file_traces(plant: ScoredPlant, channel_id: str, new: List[_Trace]) -> None:
+    """File ``new``, in filing order, into a copy of the channel's
+    start-sorted trace list.
+
+    Each trace is appended when it starts at or after the list's last
+    trace, else inserted at ``bisect_right`` on the starts: after every
+    earlier-filed trace with an equal start, where a stable sort by start
+    puts it.  A run that starts in order past the list's end (every
+    channel of a cold build) is one ``extend``.
+    """
+    traces = list(plant.traces.get(channel_id, ()))
+    starts = list(plant.trace_starts.get(channel_id, ()))
+    new_starts = [trace.start for trace in new]
+    if (not starts or new_starts[0] >= starts[-1]) and new_starts == sorted(new_starts):
+        traces.extend(new)
+        starts.extend(new_starts)
+    else:
+        for trace, start in zip(new, new_starts):
+            i = bisect_right(starts, start)
+            traces.insert(i, trace)
+            starts.insert(i, start)
+    plant.traces[channel_id] = traces
+    plant.trace_starts[channel_id] = starts
+
+
+def _interval_index(
+    spans: List[Tuple[float, float, str, int]]
+) -> Tuple[List[float], List[float], List[Tuple[float, float, str, int]]]:
+    """One line's job interval index: the start-sorted spans, their starts
+    and their running max end (bisect + a short backward scan finds every
+    job covering a time)."""
+    run_max_end: List[float] = []
+    peak = -math.inf
+    for __, end, __, __ in spans:
+        peak = max(peak, end)
+        run_max_end.append(peak)
+    return [span[0] for span in spans], run_max_end, spans
+
+
 # no eq/repr on the records of this module: nothing compares or prints
 # them, and each generated method costs import time on the cold path
 @dataclass(eq=False, repr=False)
 class ScoredPlant:
-    """What Algorithm 1 reads of a plant, derived afresh after every engine
-    run and restore, so a context never sees a half-updated one."""
+    """What Algorithm 1 reads of a plant: a new one after every engine run
+    and restore, so a context never sees a half-updated one.  A refresh's
+    plant shares the parts it did not change with the one it replaces and
+    writes to none of them."""
 
     #: per-channel outlierness traces (sorted by start) and their starts
     traces: Dict[str, List[_Trace]] = field(default_factory=dict)
     trace_starts: Dict[str, List[float]] = field(default_factory=dict)
-    #: per-trace robust stats for the environment confirmation, filled lazily
+    #: per-trace robust stats for the environment confirmation, filled
+    #: lazily (environment traces only, so a refresh keeps them)
     trace_stats: Dict[Tuple[str, float], Tuple[float, float]] = field(default_factory=dict)
     phase_candidates: List[OutlierCandidate] = field(default_factory=list)
     #: phase candidates grouped by machine and (machine, job), plus the
@@ -183,17 +225,20 @@ class LevelRunner:
     # engine runs and snapshot restore
     # ------------------------------------------------------------------
     def run(
-        self, span_name: str, tasks: Dict[str, _ScoreTask], executor: str
+        self,
+        span_name: str,
+        tasks: Dict[str, _ScoreTask],
+        executor: str,
+        previous: Optional[ScoredPlant] = None,
     ) -> ScoredPlant:
         """Run ``tasks`` (see :meth:`task_graph`) on ``executor`` and derive
         the scored plant.
 
         Shared by the cold build (every task, on the configured executor)
-        and the context's refresh (the dirty closure, always
-        ``"serial"``): runs the engine, stores per-task outputs and event
-        lists, reassembles the derived stores, rebuilds the health record
-        by canonical event replay, re-derives the indexes and the support
-        calculator, and publishes the engine's cost counters.
+        and the context's refresh (the dirty closure, always ``"serial"``,
+        with ``previous``, the plant the refresh replaces): runs the
+        engine, stores per-task outputs and event lists, derives the scored
+        plant (:meth:`_index`), and publishes the engine's cost counters.
         """
         tracer = self.telemetry.tracer
         with tracer.span(span_name, executor=executor) as outer_span:
@@ -210,8 +255,8 @@ class LevelRunner:
             results, self._tasks.engine_stats = engine.run(
                 tasks, cast(Callable[[object], object], worker)
             )
-            self._merge_results(results, parent_id)
-            plant = self._index()
+            scored = self._merge_results(results, parent_id)
+            plant = self._index(previous, scored)
         self._publish_engine_metrics()
         return plant
 
@@ -238,16 +283,78 @@ class LevelRunner:
         # the watermark partition holds exactly the jobs the phase outputs cover
         self._scored_jobs = {m.machine_id: len(m.jobs) for m in self.dataset.iter_machines()}
         with self.telemetry.tracer.span("pipeline.restore"):
-            plant = self._index()
+            plant = self._index(
+                None, {machine_id: out[0] for machine_id, out in self._tasks.phase_out.items()}
+            )
         self._publish_engine_metrics()
         return plant
 
-    def _index(self) -> ScoredPlant:
-        """Assemble, replay health and index the stored task outputs."""
+    def _index(
+        self,
+        previous: Optional[ScoredPlant],
+        scored: Mapping[str, List[Tuple[str, _Trace]]],
+    ) -> ScoredPlant:
+        """Derive the scored plant from the stored task outputs (DESIGN §10).
+
+        ``scored`` maps machines to the phase traces to file: the ones the
+        run's phase tasks just scored, or every stored one on a restore.
+        Without ``previous`` (a cold build or a restore) they and every
+        environment trace are filed into an empty plant.  A refresh passes
+        the plant it replaces: its new traces are filed into copies of
+        their channels' lists (:func:`_file_traces`), and the other
+        channels' lists, the environment state and the job-interval index
+        of every untouched line are shared with ``previous``, which stays
+        whole.  A refresh runs no environment task (no job changes one).
+        Phase groupings, the vector levels' tables and the health record
+        are derived afresh.
+        """
+        tasks = self._tasks
+        dataset = self.dataset
         with self.telemetry.tracer.span("pipeline.index"):
-            plant = self._assemble()
+            if previous is None:
+                plant = ScoredPlant()
+                line_ids = [line.line_id for line in dataset.lines]
+            else:
+                plant = ScoredPlant(
+                    traces=dict(previous.traces),
+                    trace_starts=dict(previous.trace_starts),
+                    trace_stats=previous.trace_stats,
+                    env_channels=previous.env_channels,
+                    job_intervals=dict(previous.job_intervals),
+                )
+                line_ids = sorted({dataset.line_of(machine_id).line_id for machine_id in scored})
+            filing: Dict[str, List[_Trace]] = {}
+            for machine in dataset.iter_machines():
+                for channel_id, trace in scored.get(machine.machine_id, ()):
+                    filing.setdefault(channel_id, []).append(trace)
+            if previous is None:
+                for line in dataset.lines:
+                    output = tasks.env_out.get(line.line_id)
+                    if output is None:
+                        continue
+                    env_traces, ids = cast(
+                        Tuple[List[Tuple[str, _Trace]], List[str]], output
+                    )
+                    for channel_id, trace in env_traces:
+                        filing.setdefault(channel_id, []).append(trace)
+                    plant.env_channels[line.line_id] = list(ids)
+            for channel_id, new in filing.items():
+                _file_traces(plant, channel_id, new)
+            for line_id in line_ids:
+                plant.job_intervals[line_id] = _interval_index(dataset.job_intervals(line_id))
+            self._phase_index(plant)
+            self._vector_tables(plant)
             plant.health = self._rebuild_health(plant.traces)
-            self._build_indexes(plant)
+            # The lookup closes over the trace dicts, not over the plant or
+            # this runner: a bound method here would make every context a
+            # reference cycle that only the cyclic GC frees.
+            plant.support_calc = SupportCalculator(
+                self._graph,
+                functools.partial(_trace_at, plant.traces, plant.trace_starts),
+                tolerance=self.config.support_tolerance,
+                # renormalized divisor: fully-quarantined channels do not vote
+                excluded=plant.health.dead_channels,
+            )
         return plant
 
     def engine_stats(self) -> EngineStats:
@@ -327,14 +434,12 @@ class LevelRunner:
                 )
                 level, data = ProductionLevel.ENVIRONMENT, (unit, items)
             elif kind == "job":
-                rows: List[np.ndarray] = []
-                keys: List[Tuple[str, int]] = []
-                for machine in dataset.iter_machines():
-                    table = dataset.job_table(machine.machine_id)
-                    for job, row in zip(machine.jobs, table):
-                        rows.append(row)
-                        keys.append((machine.machine_id, job.job_index))
-                level, data = ProductionLevel.JOB, (tuple(keys), np.vstack(rows))
+                keys = tuple(
+                    (machine.machine_id, job.job_index)
+                    for machine in dataset.iter_machines()
+                    for job in machine.jobs
+                )
+                level, data = ProductionLevel.JOB, (keys, dataset.job_table())
             elif kind == "line":
                 mat, identity = dataset.jobs_over_time(unit)
                 if mat.shape[0] == 0:
@@ -356,8 +461,9 @@ class LevelRunner:
 
     def _merge_results(
         self, results: Dict[str, object], parent_id: Optional[int]
-    ) -> None:
-        """Fold task results into the per-task stores in insertion order.
+    ) -> Dict[str, List[Tuple[str, _Trace]]]:
+        """Fold task results into the per-task stores in insertion order;
+        return the newly scored phase traces per machine.
 
         Completion order never matters: the engine returns results keyed
         in insertion order, worker event lists replay through the same
@@ -373,6 +479,7 @@ class LevelRunner:
         ones never changes.  Every other kind replaces its output.
         """
         tasks = self._tasks
+        scored: Dict[str, List[Tuple[str, _Trace]]] = {}
         # like ``parallel.tasks``: the last engine run, not a running total
         tasks.batch_group_count = 0
         for result in results.values():
@@ -390,6 +497,7 @@ class LevelRunner:
                 tasks.phase_out[machine_id] = (
                     old_traces + traces, old_candidates + candidates,
                 )
+                scored[machine_id] = traces
                 events = tasks.task_events.get(result.key, []) + events
                 self._scored_jobs[machine_id] = len(self.dataset.machine(machine_id).jobs)
             elif result.kind == "env":
@@ -403,38 +511,37 @@ class LevelRunner:
             else:  # pragma: no cover - task construction is exhaustive
                 raise ValueError(f"unknown task kind {result.kind!r}")
             tasks.task_events[result.key] = events
+        return scored
 
     # ------------------------------------------------------------------
-    # the scored plant: assemble, health replay, indexes
+    # the scored plant: phase groupings, level tables, health replay
     # ------------------------------------------------------------------
-    def _assemble(self) -> ScoredPlant:
-        """Derive the plant's score stores from the per-task outputs.
+    def _phase_index(self, plant: ScoredPlant) -> None:
+        """Phase candidates in task order (each machine's, in dataset
+        order), grouped by machine and (machine, job), plus the sorted
+        outlierness array the phase confirmation ranks against."""
+        for machine in self.dataset.iter_machines():
+            phase_out = self._tasks.phase_out.get(machine.machine_id)
+            if phase_out is not None:
+                plant.phase_candidates.extend(phase_out[1])
+        for c in plant.phase_candidates:
+            plant.phase_by_machine.setdefault(c.machine_id, []).append(c)
+            plant.phase_by_machine_job.setdefault(
+                (c.machine_id, c.job_index), []
+            ).append(c)
+        plant.phase_scores_sorted = np.sort(
+            np.array([c.outlierness for c in plant.phase_candidates], dtype=float)
+        )
 
-        Iterates machines and lines in dataset order — the order of
-        :meth:`_task_order` — so an incremental refresh (which
-        overwrites only the dirty tasks' outputs) reassembles traces and
-        candidates in exactly the order a cold build would have produced.
+    def _vector_tables(self, plant: ScoredPlant) -> None:
+        """The job, line and production score, unified and flag tables.
+
+        The line level is flagged against the *production-wide* score
+        distribution (one line must not look normal just because its
+        siblings are worse), so it pools every line task's output — the
+        one genuine barrier in the merge.
         """
         tasks = self._tasks
-        plant = ScoredPlant()
-        for machine in self.dataset.iter_machines():
-            phase_out = tasks.phase_out.get(machine.machine_id)
-            if phase_out is None:
-                continue
-            traces, candidates = phase_out
-            for sensor_id, trace in traces:
-                plant.traces.setdefault(sensor_id, []).append(trace)
-            plant.phase_candidates.extend(candidates)
-        for line in self.dataset.lines:
-            output = tasks.env_out.get(line.line_id)
-            if output is None:
-                continue
-            env_traces, ids = cast(
-                Tuple[List[Tuple[str, _Trace]], List[str]], output
-            )
-            for channel_id, trace in env_traces:
-                plant.traces.setdefault(channel_id, []).append(trace)
-            plant.env_channels[line.line_id] = list(ids)
         sigma = self.config.vector_sigma
         if tasks.job_out is not None:
             job_keys, scores, plant.job_detector = cast(
@@ -443,17 +550,20 @@ class LevelRunner:
             plant.job_scores, plant.job_unified, plant.job_flags = _level_tables(
                 job_keys, scores, sigma
             )
-        self._finalize_line_level(
-            plant,
-            [
-                cast(
+        line_keys: List[Tuple[str, int]] = []
+        line_scores: List[float] = []
+        for line in self.dataset.lines:
+            if line.line_id in tasks.line_out:
+                identity, scores = cast(
                     Tuple[Tuple[Tuple[str, int], ...], np.ndarray],
                     tasks.line_out[line.line_id],
                 )
-                for line in self.dataset.lines
-                if line.line_id in tasks.line_out
-            ],
-        )
+                line_keys.extend(identity)
+                line_scores.extend(float(s) for s in scores)
+        if line_keys:
+            plant.line_scores, plant.line_unified, plant.line_flags = _level_tables(
+                line_keys, np.array(line_scores), sigma
+            )
         if tasks.production_out is not None:
             machine_ids, scores = cast(
                 Tuple[Tuple[str, ...], np.ndarray], tasks.production_out
@@ -461,31 +571,6 @@ class LevelRunner:
             plant.machine_scores, plant.machine_unified, plant.machine_flags = (
                 _level_tables(machine_ids, scores, sigma)
             )
-        return plant
-
-    def _finalize_line_level(
-        self,
-        plant: ScoredPlant,
-        outputs: List[Tuple[Tuple[Tuple[str, int], ...], np.ndarray]],
-    ) -> None:
-        """Pool per-line scores, then threshold and unify globally.
-
-        The line level is flagged against the *production-wide* score
-        distribution (one line must not look normal just because its
-        siblings are worse), so this stage needs every line task's output
-        — the one genuine barrier in the merge.
-        """
-        all_scores: List[Tuple[Tuple[str, int], float]] = []
-        for identity, scores in outputs:
-            for key, s in zip(identity, scores):
-                all_scores.append((key, float(s)))
-        if not all_scores:
-            return
-        plant.line_scores, plant.line_unified, plant.line_flags = _level_tables(
-            [key for key, __ in all_scores],
-            np.array([s for __, s in all_scores]),
-            self.config.vector_sigma,
-        )
 
     def _rebuild_health(self, traces: Dict[str, List[_Trace]]) -> RunHealth:
         """Rebuild the health record by replaying cached task events.
@@ -599,47 +684,6 @@ class LevelRunner:
                     channel_id=channel_id,
                     scope="channel",
                 )
-
-    def _build_indexes(self, plant: ScoredPlant) -> None:
-        """Precompute the lookup structures behind ``confirm``/``support``.
-
-        Everything here is a pure function of the scored dataset, so it is
-        built once per engine run and shared by every query: only the
-        per-candidate memoization is the context's.
-        """
-        # per-line job interval index, sorted by start with a running max
-        # end: bisect + short backward scan finds every job covering a time
-        for line in self.dataset.lines:
-            spans = self.dataset.job_intervals(line.line_id)
-            starts = [s[0] for s in spans]
-            run_max_end: List[float] = []
-            peak = -math.inf
-            for __, end, __, __ in spans:
-                peak = max(peak, end)
-                run_max_end.append(peak)
-            plant.job_intervals[line.line_id] = (starts, run_max_end, spans)
-        # per-channel traces sorted by start so one bisect finds the cover
-        for channel_id, traces in plant.traces.items():
-            traces.sort(key=lambda t: t.start)
-            plant.trace_starts[channel_id] = [t.start for t in traces]
-        for c in plant.phase_candidates:
-            plant.phase_by_machine.setdefault(c.machine_id, []).append(c)
-            plant.phase_by_machine_job.setdefault(
-                (c.machine_id, c.job_index), []
-            ).append(c)
-        plant.phase_scores_sorted = np.sort(
-            np.array([c.outlierness for c in plant.phase_candidates], dtype=float)
-        )
-        # The lookup closes over the trace dicts, not over the plant or
-        # this runner: a bound method here would make every context a
-        # reference cycle that only the cyclic GC frees.
-        plant.support_calc = SupportCalculator(
-            self._graph,
-            functools.partial(_trace_at, plant.traces, plant.trace_starts),
-            tolerance=self.config.support_tolerance,
-            # renormalized divisor: fully-quarantined channels do not vote
-            excluded=plant.health.dead_channels,
-        )
 
     # ------------------------------------------------------------------
     # instrumentation

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, cast
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..detectors import BaseDetector, make_detector
 from ..obs.trace import Tracer
@@ -492,25 +493,44 @@ def _run_job_task(state: _WorkerState, data: Tuple[object, ...]) -> object:
     return keys, scores, detector_name
 
 
+def _robust_deviation(rows: np.ndarray, context: np.ndarray, axis: int) -> np.ndarray:
+    """``rows``' deviation from the median/MAD of ``context`` along ``axis``."""
+    med = np.median(context, axis=axis)
+    mad = np.median(np.abs(context - np.expand_dims(med, axis)), axis=axis) * 1.4826
+    mad[mad <= 1e-12] = 1.0
+    return (rows - med) / mad
+
+
+def _trailing_deltas(mat: np.ndarray, history: int) -> np.ndarray:
+    """Each row's robust deviation from the up to ``history`` rows before
+    it (zero where fewer than two precede it).
+
+    Rows from ``history`` on see full windows and take one sliding-window
+    pass; the rows before them keep their short windows.  Medians are
+    selections from the same multiset and the rest is elementwise, so
+    every value equals that of a row-by-row loop.
+    """
+    deltas = np.zeros_like(mat)
+    if history < 2:
+        return deltas
+    for i in range(2, min(history, mat.shape[0])):
+        deltas[i] = _robust_deviation(mat[i], mat[:i], 0)
+    if mat.shape[0] > history:
+        # window j holds rows j .. j + history - 1: the baseline of row j + history
+        windows = sliding_window_view(mat[:-1], history, axis=0)
+        deltas[history:] = _robust_deviation(mat[history:], windows, 2)
+    return deltas
+
+
 def _run_line_task(state: _WorkerState, data: Tuple[object, ...]) -> object:
     line_id, mat, identity = cast(
         Tuple[str, np.ndarray, Tuple[Tuple[str, int], ...]], data
     )
-    cfg = state.config
     mat = _gate_matrix_w(state, mat, f"{line_id}/jobs-over-time")
     # jobs-over-time: augment each row with its deviation from the
     # trailing robust baseline so the level sees temporal change,
     # not just static position
-    history = cfg.line_history
-    deltas = np.zeros_like(mat)
-    for i in range(mat.shape[0]):
-        lo = max(0, i - history)
-        context = mat[lo:i]
-        if context.shape[0] >= 2:
-            med = np.median(context, axis=0)
-            mad = np.median(np.abs(context - med), axis=0) * 1.4826
-            mad[mad <= 1e-12] = 1.0
-            deltas[i] = (mat[i] - med) / mad
+    deltas = _trailing_deltas(mat, state.config.line_history)
     augmented = np.hstack([_robust_standardize(mat), deltas])
     scores, __ = _score_matrix_resilient(
         state, f"{line_id}/jobs-over-time", augmented

@@ -24,7 +24,9 @@ from __future__ import annotations
 import json
 import time
 from types import TracebackType
-from typing import Callable, Dict, List, Optional, Sequence, Type, Union
+from typing import (
+    Callable, Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Type, Union,
+)
 
 __all__ = [
     "Span",
@@ -203,6 +205,9 @@ class Tracer:
         self._spans: List[Span] = []
         self._stack: List[Span] = []
         self._next_id = 1
+        #: the names of the last drop_trees pass and the length of the
+        #: closed, kept prefix it left (the next pass starts there)
+        self._settled: Tuple[FrozenSet[str], int] = (frozenset(), 0)
 
     # -- recording ------------------------------------------------------
     def span(self, name: str, **attributes: object) -> Span:
@@ -278,6 +283,33 @@ class Tracer:
             self._spans.append(sp)
             grafted.append(sp)
         return grafted
+
+    def drop_trees(self, names: Collection[str]) -> None:
+        """Forget every closed root span named in ``names`` together with
+        its descendants.
+
+        Open spans, other roots and their trees stay, and span ids keep
+        counting up.  A parent always precedes its children in the
+        recorded list, so one pass finds every descendant; it starts where
+        the last pass with the same names found its first open span, as
+        everything before that was closed and kept.
+        """
+        key = frozenset(names)
+        start = self._settled[1] if self._settled[0] == key else 0
+        dropped: Set[int] = set()
+        kept = self._spans[:start]
+        for sp in self._spans[start:]:
+            if sp.parent_id in dropped or (
+                sp.parent_id is None and sp.end is not None and sp.name in key
+            ):
+                dropped.add(sp.span_id)
+            else:
+                kept.append(sp)
+        self._spans = kept
+        first_open = next(
+            (i for i in range(start, len(kept)) if kept[i].end is None), len(kept)
+        )
+        self._settled = (key, first_open)
 
     # -- queries --------------------------------------------------------
     @property

@@ -9,6 +9,7 @@ All signal payloads are :class:`~repro.timeseries.TimeSeries` /
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -172,6 +173,16 @@ class PlantDataset:
     _dirty_jobs: List[Tuple[str, int]] = field(
         default_factory=list, init=False, repr=False, compare=False
     )
+    #: Per job, its setup vector, CAQ vector and their concatenated row;
+    #: per machine, its production-panel row.  Built on first use: no code
+    #: writes to a job's ``setup`` or ``measurements`` after construction
+    #: (repro-lint DET006), so a job's vectors never change.
+    _job_vectors: Dict[Tuple[str, int], Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _panel_rows: Dict[str, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # ingest (the one sanctioned mutation path — repro-lint DET006)
@@ -182,7 +193,8 @@ class PlantDataset:
         This is the **only** sanctioned way to mutate a dataset's job
         history after construction (repro-lint rule DET006 rejects direct
         ``.jobs`` mutation outside the plant-construction modules): it
-        keeps the navigation index coherent and records the arrival in the
+        files the job into the navigation index in place, drops its
+        machine's production-panel row, and records the arrival in the
         dirty set that :meth:`consume_dirty` hands to the pipeline's
         incremental refresh, which re-scores only the touched subgraph.
         """
@@ -197,7 +209,14 @@ class PlantDataset:
                 f"machine {machine_id} already has job {job.job_index}"
             )
         machine.jobs.append(job)
-        self.invalidate_indexes()
+        nav = self._nav()
+        nav["job_by_key"][(machine_id, job.job_index)] = job
+        # where a full rebuild's sort would put the span (spans are unique)
+        insort(
+            nav["intervals"][nav["line_of_machine"][machine_id].line_id],
+            (job.start, job.end, machine_id, job.job_index),
+        )
+        self._panel_rows.pop(machine_id, None)
         self._dirty_jobs.append((machine_id, job.job_index))
         return job
 
@@ -322,8 +341,11 @@ class PlantDataset:
         return cache
 
     def invalidate_indexes(self) -> None:
-        """Drop the navigation index (call after mutating lines/jobs)."""
+        """Drop the navigation index and the row caches (call after
+        mutating lines/jobs)."""
         self.__dict__.pop("_nav_cache", None)
+        self._job_vectors.clear()
+        self._panel_rows.clear()
 
     def iter_machines(self) -> Iterator[MachineRecord]:
         for line in self.lines:
@@ -377,15 +399,29 @@ class PlantDataset:
         """Level 1: the multi-channel high-resolution view of one phase."""
         return self.job(machine_id, job_index).phase(phase_name)
 
-    def job_table(self, machine_id: str) -> np.ndarray:
-        """Level 2: per-job high-dimensional rows (setup ++ CAQ)."""
-        rows = [
-            np.concatenate(
-                [j.setup_vector(self.setup_keys), j.caq.vector(self.caq_keys)]
-            )
-            for j in self.machine(machine_id).jobs
-        ]
-        return np.vstack(rows) if rows else np.empty((0, len(self.setup_keys) + len(self.caq_keys)))
+    def _vectors(self, job: JobRecord) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The job's setup vector, CAQ vector and row (setup ++ CAQ), cached."""
+        key = (job.machine_id, job.job_index)
+        vectors = self._job_vectors.get(key)
+        if vectors is None:
+            setup = job.setup_vector(self.setup_keys)
+            caq = job.caq.vector(self.caq_keys)
+            vectors = self._job_vectors[key] = (setup, caq, np.concatenate([setup, caq]))
+        return vectors
+
+    def _rows(self, jobs: Iterable[JobRecord]) -> np.ndarray:
+        """A fresh matrix of the jobs' rows (callers may write into it)."""
+        rows = [self._vectors(j)[2] for j in jobs]
+        return np.vstack(rows) if rows else np.empty(
+            (0, len(self.setup_keys) + len(self.caq_keys))
+        )
+
+    def job_table(self, machine_id: Optional[str] = None) -> np.ndarray:
+        """Level 2: per-job high-dimensional rows (setup ++ CAQ) of one
+        machine, or of every machine's jobs in dataset order."""
+        if machine_id is None:
+            return self._rows(self.iter_jobs())
+        return self._rows(self.machine(machine_id).jobs)
 
     def line(self, line_id: str) -> LineRecord:
         line = self._nav()["line_by_id"].get(line_id)
@@ -408,17 +444,8 @@ class PlantDataset:
         for m in line.machines:
             jobs.extend((j.start, j) for j in m.jobs)
         jobs.sort(key=lambda pair: pair[0])
-        rows = [
-            np.concatenate(
-                [j.setup_vector(self.setup_keys), j.caq.vector(self.caq_keys)]
-            )
-            for __, j in jobs
-        ]
         identity = [(j.machine_id, j.job_index) for __, j in jobs]
-        mat = np.vstack(rows) if rows else np.empty(
-            (0, len(self.setup_keys) + len(self.caq_keys))
-        )
-        return mat, identity
+        return self._rows(j for __, j in jobs), identity
 
     def production_panel(self) -> Tuple[np.ndarray, List[str]]:
         """Level 5: one KPI row per machine across the whole production.
@@ -429,17 +456,19 @@ class PlantDataset:
         rows = []
         ids = []
         for machine in self.iter_machines():
-            caq = np.vstack([j.caq.vector(self.caq_keys) for j in machine.jobs])
-            setups = np.vstack([j.setup_vector(self.setup_keys) for j in machine.jobs])
-            setup_dev = np.abs(
-                (setups - setups.mean(axis=0)) / (setups.std(axis=0) + 1e-9)
-            ).mean()
-            pass_rate = float(np.mean([j.caq.passed for j in machine.jobs]))
-            rows.append(
-                np.concatenate(
+            row = self._panel_rows.get(machine.machine_id)
+            if row is None:
+                vectors = [self._vectors(j) for j in machine.jobs]
+                caq = np.vstack([c for __, c, __ in vectors])
+                setups = np.vstack([s for s, __, __ in vectors])
+                setup_dev = np.abs(
+                    (setups - setups.mean(axis=0)) / (setups.std(axis=0) + 1e-9)
+                ).mean()
+                pass_rate = float(np.mean([j.caq.passed for j in machine.jobs]))
+                row = self._panel_rows[machine.machine_id] = np.concatenate(
                     [caq.mean(axis=0), caq.max(axis=0), [pass_rate, setup_dev]]
                 )
-            )
+            rows.append(row)
             ids.append(machine.machine_id)
         return (np.vstack(rows) if rows else np.empty((0, 0))), ids
 

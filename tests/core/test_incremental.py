@@ -23,8 +23,10 @@ from repro.core.checkpoint import resume_pipeline
 from repro.core.parallel import ParallelEngine
 from repro.core.pipeline import HierarchicalDetectionPipeline, PipelineConfig
 from repro.io import reports_to_json
-from repro.obs import to_chrome_trace, validate_chrome_trace
-from repro.plant import ChaosConfig, PlantConfig, inject_chaos, simulate_plant
+from repro.obs import to_chrome_trace, validate_chrome_trace, validate_spans
+from repro.plant import (
+    CAQResult, ChaosConfig, JobRecord, PlantConfig, inject_chaos, simulate_plant,
+)
 
 SEEDS = (3, 11, 29)
 
@@ -269,7 +271,8 @@ class TestRefreshRunsInline:
         task_roots = [
             span for span in tracer.spans[n_cold_spans:] if "task" in span.attributes
         ]
-        assert len(task_roots) == sum(s["dirty_tasks"] for s in summaries)
+        # each refresh drops the span trees of the refreshes before it
+        assert len(task_roots) == summaries[-1]["dirty_tasks"]
         for span in task_roots:
             assert span.name.startswith("score.")
             assert (span.attributes["executor"], span.attributes["worker"]) == (
@@ -362,6 +365,30 @@ class TestIngestValidation:
             base.job(machine_id, job.job_index)
         base.ingest_job(machine_id, job)
         assert base.job(machine_id, job.job_index) is job
+
+    def test_ingest_files_jobs_into_the_navigation_index_in_place(self):
+        full = _plant(11)
+        base, arrivals = full.split_tail(2)
+        nav = base._nav()
+        ingested = []  # every held-out job, on both lines
+        for machine_id, job in arrivals:
+            base.ingest_job(machine_id, job)
+            ingested.append((machine_id, job.job_index))
+        assert {base.line_of(m).line_id for m, __ in ingested} == {"line-0", "line-1"}
+        assert base._nav() is nav  # updated, not dropped and rebuilt
+        fresh, __ = full.split_at_watermark(
+            (m.machine_id, j.job_index) for m in base.iter_machines() for j in m.jobs
+        )
+        for line in fresh.lines:
+            assert base.job_intervals(line.line_id) == fresh.job_intervals(line.line_id)
+        for machine in fresh.iter_machines():
+            assert base.line_of(machine.machine_id).line_id == (
+                fresh.line_of(machine.machine_id).line_id
+            )
+            for job in machine.jobs:
+                assert base.find_job(machine.machine_id, job.job_index) is job
+        for machine_id, job_index in ingested:
+            assert base.find_job(machine_id, job_index) is full.job(machine_id, job_index)
 
     def test_refresh_without_ingests_is_a_noop(self):
         base, arrivals = _plant(3).split_tail(1)
@@ -538,3 +565,86 @@ class TestRefreshWorkScope:
         assert pipeline.stats()["parallel"]["batch_groups"] == groups
         assert len(phase_calls) == groups
 
+
+    @pytest.mark.parametrize("jobs_per_machine", (4, 16))
+    def test_refresh_derives_only_what_the_job_changed(self, jobs_per_machine, monkeypatch):
+        dataset = simulate_plant(
+            PlantConfig(seed=5, n_lines=2, machines_per_line=2,
+                        jobs_per_machine=jobs_per_machine)
+        )
+        base, arrivals = dataset.split_tail(1)
+        pipeline = HierarchicalDetectionPipeline(base)
+        before = pipeline.context._plant
+        old_lists = {channel: list(traces) for channel, traces in before.traces.items()}
+        calls = []
+        for owner, name in ((JobRecord, "setup_vector"), (CAQResult, "vector")):
+            def spy(self, *args, _original=getattr(owner, name), _name=name):
+                calls.append(_name)
+                return _original(self, *args)
+            monkeypatch.setattr(owner, name, spy)
+        machine_id, job = arrivals[0]
+        n_stored = len(pipeline.context._runner._tasks.phase_out[machine_id][0])
+        pipeline.ingest_job(machine_id, job)
+        # the ingested job's two vectors; every other row comes from the cache
+        assert sorted(calls) == ["setup_vector", "vector"]
+
+        after = pipeline.context._plant
+        new = pipeline.context._runner._tasks.phase_out[machine_id][0][n_stored:]
+        assert new and {channel for channel, __ in new} <= {
+            ch.sensor_id for ch in base.machine(machine_id).channels
+        }
+        dirty_line = base.line_of(machine_id).line_id
+        env = {channel for ids in before.env_channels.values() for channel in ids}
+        assert after.env_channels is before.env_channels
+        assert after.trace_stats is before.trace_stats
+        for channel, traces in after.traces.items():
+            filed = [trace for ch, trace in new if ch == channel]
+            if not filed:
+                # an untouched machine's or an environment channel: shared
+                assert traces is before.traces[channel]
+                assert after.trace_starts[channel] is before.trace_starts[channel]
+                continue
+            assert channel not in env
+            # copied, filed like a stable sort by start, the old list untouched
+            assert traces == sorted(old_lists.get(channel, []) + filed, key=lambda t: t.start)
+            assert after.trace_starts[channel] == [t.start for t in traces]
+            assert before.traces.get(channel, []) == old_lists.get(channel, [])
+        assert env <= set(after.traces)
+        for line_id, index in after.job_intervals.items():
+            if line_id == dirty_line:
+                assert index[2] == base.job_intervals(line_id)
+            else:
+                assert index is before.job_intervals[line_id]
+
+
+class TestSpanRetention:
+    """A long-lived pipeline keeps the span trees of its cold build and of
+    its latest refresh and run: each refresh drops the trees of the
+    refreshes and runs before it."""
+
+    def test_trace_stays_bounded_over_many_ingests(self):
+        full = simulate_plant(
+            PlantConfig(seed=3, n_lines=2, machines_per_line=2, jobs_per_machine=30)
+        )
+        base, arrivals = full.split_tail(25)
+        pipeline = HierarchicalDetectionPipeline(base)
+        tracer = pipeline.telemetry.tracer
+        _full_doc(pipeline)
+        n_base = len(tracer.spans)
+
+        def last_id():
+            return max(span.span_id for span in tracer.spans)
+
+        recorded = []  # spans each op recorded (ids keep counting up)
+        for arrival in arrivals:
+            first = last_id()
+            pipeline.ingest_job(*arrival)
+            _full_doc(pipeline)
+            recorded.append(last_id() - first)
+            assert len(tracer.spans) <= n_base + sum(sorted(recorded)[-2:])
+        assert len(arrivals) == 100
+        roots = [span for span in tracer.spans if span.parent_id is None]
+        assert [span.name for span in roots].count("pipeline.refresh") == 1
+        assert [span.name for span in roots].count("pipeline.build") == 1
+        assert validate_spans(tracer.spans) == []
+        assert validate_chrome_trace(to_chrome_trace(tracer)) == []

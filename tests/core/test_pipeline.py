@@ -168,6 +168,8 @@ class TestConfig:
             ("executor", "thread"),
             ("executor", "greenlet"),
             ("max_workers", 0),
+            ("checkpoint_every", 0),
+            ("checkpoint_retain", 0),
         ],
     )
     def test_values_that_switch_detection_off_are_rejected(self, field, value):

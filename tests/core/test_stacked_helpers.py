@@ -1,10 +1,11 @@
-"""The stacked phase/env helpers against their scalar references, bit for bit.
+"""The stacked task helpers against their scalar references, bit for bit.
 
 The phase and environment tasks compute robust thresholds, gate
 prechecks and detector-score sanitizing over same-length stacks of
-traces.  Each stacked helper must equal its per-trace reference exactly
-(``==`` on floats, ``tobytes`` on arrays): reports are byte-identical
-only if every threshold is.
+traces, and the line task its trailing baselines over sliding windows.
+Each stacked helper must equal its per-row reference exactly (``==`` on
+floats, ``tobytes`` on arrays): reports are byte-identical only if every
+threshold is.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.tasks import _peak_indices, _robust_threshold, _robust_thresholds
+from repro.core.tasks import (
+    _peak_indices, _robust_threshold, _robust_thresholds, _trailing_deltas,
+)
 from repro.core.resilience import (
     QualityPolicy,
     assess_series,
@@ -227,3 +230,55 @@ class TestSanitizeRows:
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError, match="2-D"):
             BaseDetector._sanitize_rows(np.zeros(4))
+
+
+def _trailing_deltas_loop(mat: np.ndarray, history: int) -> np.ndarray:
+    """The line task's row-by-row trailing baseline, as it was written
+    before the sliding-window pass (kept verbatim as the reference)."""
+    deltas = np.zeros_like(mat)
+    for i in range(mat.shape[0]):
+        lo = max(0, i - history)
+        context = mat[lo:i]
+        if context.shape[0] >= 2:
+            med = np.median(context, axis=0)
+            mad = np.median(np.abs(context - med), axis=0) * 1.4826
+            mad[mad <= 1e-12] = 1.0
+            deltas[i] = (mat[i] - med) / mad
+    return deltas
+
+
+def _line_matrix(kind: str, rows: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "normal":
+        return rng.normal(size=(rows, 5))
+    if kind == "tied":  # few distinct values: even-count medians of ties
+        return rng.integers(0, 3, size=(rows, 5)).astype(float)
+    if kind == "constant":  # MAD at or just under the 1e-12 cut
+        mat = np.full((rows, 5), 2.5)
+        mat[:, 0] += _alternating(rows, _MAD_CUT / 2)
+        mat[:, 1] += _alternating(rows, _MAD_CUT * 2)
+        return mat
+    if kind == "signed-zero":
+        return rng.choice([0.0, -0.0, 1.0], size=(rows, 5))
+    return rng.normal(size=(rows, 5)) * 1e12 + 1e15  # large magnitude
+
+
+class TestTrailingDeltas:
+    @pytest.mark.parametrize("history", (0, 1, 2, 3, 4, 5, 8))
+    @pytest.mark.parametrize(
+        "kind", ("normal", "tied", "constant", "signed-zero", "large")
+    )
+    def test_equals_row_by_row_loop_bitwise(self, history, kind):
+        rng = np.random.default_rng(history)
+        for rows in range(history + 9):
+            mat = _line_matrix(kind, rows, rng)
+            expected = _trailing_deltas_loop(mat, history)
+            got = _trailing_deltas(mat, history)
+            assert got.shape == expected.shape
+            # bytes: every value ``==`` and every sign bit (of zeros too) equal
+            assert got.tobytes() == expected.tobytes(), (history, kind, rows)
+
+    def test_line_history_of_the_default_config(self):
+        # the default line_history (5) over a 44-job line: most rows take
+        # the sliding-window pass, the first five the short windows
+        mat = np.random.default_rng(44).normal(size=(44, 16))
+        assert _trailing_deltas(mat, 5).tobytes() == _trailing_deltas_loop(mat, 5).tobytes()

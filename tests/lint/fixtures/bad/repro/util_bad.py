@@ -34,3 +34,10 @@ POOL = ThreadPoolExecutor(max_workers=2)
 
 def grow(plant):
     plant.machines[0].jobs.append(None)
+
+
+def retune(job):
+    job.setup["feed_rate"] = 1.0
+    del job.caq.measurements["porosity_pct"]
+    job.setup.update(feed_rate=2.0)
+    job.caq.measurements.setdefault("tensile_mpa", 0.0)

@@ -32,3 +32,10 @@ def fuse(weight):
         return 1.0 / weight
     except ZeroDivisionError:
         return 0.0
+
+
+def retuned_setup(job, feed_rate):
+    # a job's setup stays as built: change a copy (DET006)
+    setup = dict(job.setup)
+    setup["feed_rate"] = feed_rate
+    return setup, job.caq.measurements.get("porosity_pct")

@@ -37,6 +37,10 @@ EXPECTED_BAD = {
     ("DET004", "bad/repro/util_bad.py", 9),
     ("DET005", "bad/repro/util_bad.py", 32),
     ("DET006", "bad/repro/util_bad.py", 36),
+    ("DET006", "bad/repro/util_bad.py", 40),
+    ("DET006", "bad/repro/util_bad.py", 41),
+    ("DET006", "bad/repro/util_bad.py", 42),
+    ("DET006", "bad/repro/util_bad.py", 43),
     ("DET101", "bad/repro/core/pipeline.py", 9),
     ("DET101", "bad/repro/core/pipeline.py", 10),
     ("DET101", "bad/repro/core/tasks.py", 7),

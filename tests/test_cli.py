@@ -42,6 +42,32 @@ class TestParser:
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, option, value, minimum",
+        [
+            ("detect", "--ingest-tail", "-1", 0),
+            ("detect", "--chaos-kill-after", "-1", 0),
+            ("detect", "--checkpoint-every", "0", 1),
+            ("detect", "--max-workers", "0", 1),
+            ("detect", "--checkpoint-retain", "0", 1),
+            ("sanitize", "--max-workers", "0", 1),
+        ],
+    )
+    def test_out_of_range_counts_are_usage_errors(
+        self, command, option, value, minimum, capsys, tmp_path
+    ):
+        # each used to run (a plain cold run, a count read as 1) or die in a
+        # ValueError traceback
+        extra = ["--checkpoint-dir", str(tmp_path)] if command == "detect" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "7", *extra, option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            f"repro {command}: error: argument {option}: must be >= {minimum}, got {value}"
+        )
+        assert "Traceback" not in err
+
     def test_sanitize_defaults_to_serial(self):
         assert build_parser().parse_args(["sanitize"]).executor == "serial"
 

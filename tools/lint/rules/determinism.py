@@ -24,11 +24,15 @@ callables of ``repro.obs`` / ``repro.core.resilience``.
   result-merge ordering (one pool construction site keeps the
   byte-identical-across-executors guarantee auditable);
 * **DET006** direct ``.jobs`` mutation (``x.jobs.append(...)``,
-  ``x.jobs = ...``, ``x.jobs[i] = ...``) outside the plant-construction
-  modules — job arrivals must flow through
+  ``x.jobs = ...``, ``x.jobs[i] = ...``, ``del x.jobs[i]``) outside the
+  plant-construction modules — job arrivals must flow through
   ``PlantDataset.ingest_job``, the one API that keeps the navigation
   index and the incremental pipeline's dirty tracking coherent; a job
-  appended behind its back is scored stale (or never) on refresh.
+  appended behind its back is scored stale (or never) on refresh.  The
+  rule also flags in-place writes to a job's ``.setup`` or CAQ
+  ``.measurements`` dict there (``x.setup[k] = ...``, ``del
+  x.setup[k]``, ``x.setup.update(...)`` and the other mutating dict
+  methods): the dataset caches every job's feature row on first use.
 """
 
 from __future__ import annotations
@@ -74,6 +78,11 @@ _JOBS_MUTATION_POINTS = (
 _MUTATING_LIST_METHODS = frozenset(
     {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
 )
+
+#: A job's dicts that the dataset's row caches read once (DET006), and the
+#: dict methods that write to them in place.
+_JOB_DICTS = frozenset({"setup", "measurements"})
+_MUTATING_DICT_METHODS = frozenset({"update", "pop", "clear", "setdefault", "popitem"})
 
 #: Executor classes whose direct construction DET005 flags.
 _POOL_CLASSES = frozenset({"ThreadPoolExecutor", "ProcessPoolExecutor"})
@@ -129,7 +138,7 @@ class DeterminismRule(Rule):
                 if not jobs_ok:
                     yield from self._check_jobs_call(node, src)
                 yield from self._check_call(node, src, clock_ok)
-            elif isinstance(node, (ast.Assign, ast.AugAssign)) and not jobs_ok:
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)) and not jobs_ok:
                 yield from self._check_jobs_assign(node, src)
 
     def _check_pool(self, node: ast.Call, src: ParsedFile) -> Iterator[Finding]:
@@ -153,27 +162,34 @@ class DeterminismRule(Rule):
 
     def _check_jobs_call(self, node: ast.Call, src: ParsedFile) -> Iterator[Finding]:
         func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _MUTATING_LIST_METHODS
-            and isinstance(func.value, ast.Attribute)
-            and func.value.attr == "jobs"
-        ):
+        if not (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Attribute)):
+            return
+        owner = func.value.attr
+        if owner == "jobs" and func.attr in _MUTATING_LIST_METHODS:
             yield self._jobs_finding(node, src, f".jobs.{func.attr}(...)")
+        elif owner in _JOB_DICTS and func.attr in _MUTATING_DICT_METHODS:
+            yield self._jobs_finding(node, src, f".{owner}.{func.attr}(...)")
 
     def _check_jobs_assign(
-        self, node: "ast.Assign | ast.AugAssign", src: ParsedFile
+        self, node: "ast.Assign | ast.AugAssign | ast.Delete", src: ParsedFile
     ) -> Iterator[Finding]:
-        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        if isinstance(node, ast.Assign):
+            targets, verb = node.targets, "{} = ..."
+        elif isinstance(node, ast.AugAssign):
+            targets, verb = [node.target], "{} = ..."
+        else:
+            targets, verb = node.targets, "del {}"
         for target in targets:
             if isinstance(target, ast.Attribute) and target.attr == "jobs":
-                yield self._jobs_finding(node, src, ".jobs = ...")
+                yield self._jobs_finding(node, src, verb.format(".jobs"))
             elif (
                 isinstance(target, ast.Subscript)
                 and isinstance(target.value, ast.Attribute)
-                and target.value.attr == "jobs"
+                and (target.value.attr == "jobs" or target.value.attr in _JOB_DICTS)
             ):
-                yield self._jobs_finding(node, src, ".jobs[...] = ...")
+                yield self._jobs_finding(
+                    node, src, verb.format(f".{target.value.attr}[...]")
+                )
 
     def _jobs_finding(self, node: ast.AST, src: ParsedFile, what: str) -> Finding:
         return self._finding(
@@ -183,7 +199,8 @@ class DeterminismRule(Rule):
             f"direct {what} mutation outside the plant-construction modules",
             hint="route job arrivals through PlantDataset.ingest_job so the "
             "navigation index and the incremental pipeline's dirty "
-            "tracking stay coherent",
+            "tracking stay coherent; a job's setup and CAQ measurements "
+            "stay as built (the dataset caches its feature row)",
         )
 
     def _check_call(
