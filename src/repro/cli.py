@@ -171,27 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
     perf_report.add_argument("--top", type=int, default=10, metavar="K",
                              help="number of tasks to list")
 
-    lint = sub.add_parser(
+    # ``main`` hands everything after ``lint`` to tools.lint, which parses
+    # its own flags; this entry only lists the command in ``repro --help``
+    sub.add_parser(
         "lint",
         help="run the repro-lint static contract checkers (requires a "
         "repo checkout; see docs/STATIC_ANALYSIS.md)",
     )
-    lint.add_argument("paths", nargs="*", default=["src"],
-                      help="files or directories to check (default: src)")
-    lint.add_argument("--format", choices=("text", "json", "sarif"),
-                      default="text")
-    lint.add_argument("--manifest", default=None, metavar="PATH",
-                      help="Table-1 capability manifest JSON")
-    lint.add_argument("--select", default=None, metavar="RULES",
-                      help="comma-separated rule-id prefixes to run")
-    lint.add_argument("--list-rules", action="store_true")
-    lint.add_argument("--baseline", default=None, metavar="PATH",
-                      help="suppression baseline "
-                           "(default: ./lint-baseline.json when it exists)")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="ignore any baseline, report every finding")
-    lint.add_argument("--write-baseline", default=None, metavar="PATH",
-                      help="write current findings as a baseline and exit 0")
 
     san = sub.add_parser(
         "sanitize",
@@ -248,6 +234,39 @@ def _load_or_simulate(args) -> "object":
     return simulate_plant(PlantConfig(seed=args.seed))
 
 
+def _chaotic_plant(args, rate: float, seed: int):
+    """The plant of :func:`_load_or_simulate` after sensor-dropout chaos at
+    ``rate`` from ``seed`` (untouched at rate 0), and the number of
+    infrastructure faults injected."""
+    dataset = _load_or_simulate(args)
+    if rate <= 0:
+        return dataset, 0
+    from .plant import ChaosConfig, inject_chaos
+
+    dataset, events = inject_chaos(
+        dataset, ChaosConfig(seed=seed, sensor_dropout_rate=rate)
+    )
+    return dataset, len(events)
+
+
+def _matches_cold(label: str, dataset, pipeline, reports, run_kwargs) -> bool:
+    """Print and return whether ``reports`` and ``pipeline``'s health are
+    byte-identical to a cold recompute over ``dataset``."""
+    import dataclasses
+
+    from .io import reports_to_json
+    from .sanitize import canonical_report_bytes
+
+    # the cold recompute must not snapshot into the live checkpoint dir
+    cold_config = dataclasses.replace(pipeline.config, checkpoint_dir=None)
+    identical = reports_to_json(reports, health=pipeline.health).encode(
+        "utf-8"
+    ) == canonical_report_bytes(dataset, cold_config, **run_kwargs)
+    print(f"{label} vs cold recompute: "
+          + ("byte-identical" if identical else "MISMATCH"))
+    return identical
+
+
 def _cmd_simulate(args) -> int:
     from .io import save_plant
     from .plant import FaultConfig, PlantConfig, simulate_plant
@@ -284,17 +303,9 @@ def _cmd_detect(args) -> int:
         from .obs import configure_logging
 
         configure_logging(level=args.log_level)
-    dataset = _load_or_simulate(args)
+    dataset, n_chaos = _chaotic_plant(args, args.chaos_dropout, args.chaos_seed)
     if args.chaos_dropout > 0:
-        from .plant import ChaosConfig, inject_chaos
-
-        dataset, chaos_events = inject_chaos(
-            dataset,
-            ChaosConfig(
-                seed=args.chaos_seed, sensor_dropout_rate=args.chaos_dropout
-            ),
-        )
-        print(f"chaos: injected {len(chaos_events)} infrastructure fault(s)")
+        print(f"chaos: injected {n_chaos} infrastructure fault(s)")
     if args.chaos_kill_after > 0 and not args.checkpoint_dir:
         print("detect: --chaos-kill-after requires --checkpoint-dir",
               file=sys.stderr)
@@ -344,15 +355,10 @@ def _cmd_detect(args) -> int:
         ).inc(profiler.samples)
     engine = pipeline.context.engine_stats()
     if args.executor != "serial" and not args.ingest_tail:
-        speedup = engine.speedup
-        gain = (
-            f"cpu_utilization {engine.cpu_utilization:.2f}"
-            if speedup is None  # no measured serial baseline to divide
-            else f"speedup {speedup:.2f}x"
-        )
         print(
             f"engine: {engine.executor} x{engine.workers} — "
-            f"{engine.n_tasks} tasks, wall {engine.wall_seconds:.2f}s, {gain}"
+            f"{engine.n_tasks} tasks, wall {engine.wall_seconds:.2f}s, "
+            f"cpu_utilization {engine.cpu_utilization:.2f}"
         )
     print(f"{len(reports)} hierarchical reports (start level {args.start_level}, "
           f"fusion={args.fusion}); top {min(args.top, len(reports))}:")
@@ -462,10 +468,7 @@ def _detect_incremental(dataset, config, args):
     a cold pipeline over the full plant.  Returns ``(pipeline, reports,
     identical)``; a mismatch turns into a nonzero exit code upstream.
     """
-    import dataclasses
-
     from .core import HierarchicalDetectionPipeline, ProductionLevel
-    from .io import reports_to_json
 
     base, arrivals = dataset.split_tail(args.ingest_tail)
     pipeline = HierarchicalDetectionPipeline(base, config=config)
@@ -478,12 +481,6 @@ def _detect_incremental(dataset, config, args):
         start_level=ProductionLevel(args.start_level), fusion_strategy=args.fusion
     )
     reports = pipeline.run(**run_kwargs)
-    # The cold cross-check must not snapshot into the live checkpoint dir.
-    cold_config = dataclasses.replace(config, checkpoint_dir=None)
-    cold = HierarchicalDetectionPipeline(dataset, config=cold_config)
-    identical = reports_to_json(reports, health=pipeline.health) == reports_to_json(
-        cold.run(**run_kwargs), health=cold.health
-    )
     if latencies:
         lat = sorted(latencies)
         print(
@@ -492,10 +489,7 @@ def _detect_incremental(dataset, config, args):
         )
     else:
         print("incremental: no held-out jobs to ingest")
-    print(
-        "incremental vs cold recompute: "
-        + ("byte-identical" if identical else "MISMATCH")
-    )
+    identical = _matches_cold("incremental", dataset, pipeline, reports, run_kwargs)
     return pipeline, reports, identical
 
 
@@ -511,8 +505,6 @@ def _cmd_resume(args) -> int:
     against an uninterrupted run of the same workload is covered by the
     crash-resume test suite).
     """
-    import dataclasses
-
     from .core import ProductionLevel, SnapshotStore, resume_pipeline
     from .io import reports_to_json
 
@@ -527,19 +519,12 @@ def _cmd_resume(args) -> int:
               file=sys.stderr)
         return 2
     extra = snapshot.sections["meta"].get("extra", {})
-    dataset = _load_or_simulate(args)
     chaos_rate = float(extra.get("chaos_dropout", 0.0) or 0.0)
+    dataset, n_chaos = _chaotic_plant(
+        args, chaos_rate, int(extra.get("chaos_seed", 0))
+    )
     if chaos_rate > 0:
-        from .plant import ChaosConfig, inject_chaos
-
-        dataset, chaos_events = inject_chaos(
-            dataset,
-            ChaosConfig(
-                seed=int(extra.get("chaos_seed", 0)),
-                sensor_dropout_rate=chaos_rate,
-            ),
-        )
-        print(f"chaos: re-applied {len(chaos_events)} infrastructure "
+        print(f"chaos: re-applied {n_chaos} infrastructure "
               f"fault(s) recorded in the snapshot")
     pipeline, summaries, snapshot = resume_pipeline(dataset, args.checkpoint_dir)
     print(
@@ -559,21 +544,9 @@ def _cmd_resume(args) -> int:
     if pipeline.health.degraded:
         print()
         print(pipeline.health.describe())
-    identical = True
-    if args.verify:
-        from .core import HierarchicalDetectionPipeline
-
-        cold_config = dataclasses.replace(
-            pipeline.config, checkpoint_dir=None
-        )
-        cold = HierarchicalDetectionPipeline(dataset, config=cold_config)
-        identical = reports_to_json(
-            reports, health=pipeline.health
-        ) == reports_to_json(cold.run(**run_kwargs), health=cold.health)
-        print(
-            "resume vs cold recompute: "
-            + ("byte-identical" if identical else "MISMATCH")
-        )
+    identical = not args.verify or _matches_cold(
+        "resume", dataset, pipeline, reports, run_kwargs
+    )
     if args.json:
         reports_to_json(
             reports, args.json, health=pipeline.health, stats=pipeline.stats()
@@ -693,7 +666,7 @@ def _cmd_fig3(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
+def _cmd_lint(argv: Sequence[str]) -> int:
     """Forward to ``tools.lint`` (the suite lives in the repo, not the package)."""
     import os
 
@@ -714,69 +687,37 @@ def _cmd_lint(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    argv = list(args.paths)
-    argv += ["--format", args.format]
-    if args.manifest:
-        argv += ["--manifest", args.manifest]
-    if args.select:
-        argv += ["--select", args.select]
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.no_baseline:
-        argv.append("--no-baseline")
-    if args.write_baseline:
-        argv += ["--write-baseline", args.write_baseline]
     return run(argv)
-
-
-def _sanitize_dataset(args) -> "object":
-    """Load/simulate the target plant, applying the chaos flags if set."""
-    dataset = _load_or_simulate(args)
-    if args.chaos_dropout > 0:
-        from .plant import ChaosConfig, inject_chaos
-
-        dataset, __ = inject_chaos(
-            dataset,
-            ChaosConfig(
-                seed=args.chaos_seed, sensor_dropout_rate=args.chaos_dropout
-            ),
-        )
-    return dataset
 
 
 def _cmd_sanitize(args) -> int:
     from pathlib import Path
 
     from . import sanitize as san
+    from .core import HierarchicalDetectionPipeline, PipelineConfig
+
+    def dataset():
+        return _chaotic_plant(args, args.chaos_dropout, args.chaos_seed)[0]
 
     if args.replay_child:
         # internal mode used by hash_seed_replay: print the canonical
         # report bytes (reports + health, no timing-bearing stats) so the
         # parent can diff two PYTHONHASHSEED universes byte-for-byte
-        dataset = _load_or_simulate(args)
         sys.stdout.buffer.write(
             san.canonical_report_bytes(
-                dataset,
-                executor=args.executor,
-                chaos_dropout=args.chaos_dropout,
-                chaos_seed=args.chaos_seed,
+                dataset(), PipelineConfig(executor=args.executor)
             )
         )
         return 0
-
-    from .core import HierarchicalDetectionPipeline, PipelineConfig
 
     findings = []
     checks = {}
 
     # 1. traced run: unseeded-RNG trap around one full detection (level
     #    scoring included) under the requested executor
-    dataset = _sanitize_dataset(args)
     with san.RngTrap() as trap:
         pipeline = HierarchicalDetectionPipeline(
-            dataset,
+            dataset(),
             config=PipelineConfig(
                 executor=args.executor, max_workers=args.max_workers
             ),
@@ -788,11 +729,7 @@ def _cmd_sanitize(args) -> int:
 
     # 2. executor matrix: byte-identical reports across executors
     if not args.skip_matrix:
-        matrix = san.executor_matrix(
-            lambda: _load_or_simulate(args),
-            chaos_dropout=args.chaos_dropout,
-            chaos_seed=args.chaos_seed,
-        )
+        matrix = san.executor_matrix(dataset)
         findings += matrix
         checks["executor-matrix"] = "fail" if matrix else "pass"
 
@@ -864,13 +801,15 @@ _COMMANDS = {
     "fig3": _cmd_fig3,
     "trace": _cmd_trace,
     "perf": _cmd_perf,
-    "lint": _cmd_lint,
     "sanitize": _cmd_sanitize,
 }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["lint"]:
+        return _cmd_lint(argv[1:])
     args = build_parser().parse_args(argv)
     return _COMMANDS[args.command](args)
 

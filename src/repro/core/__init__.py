@@ -21,7 +21,6 @@ from .checkpoint import (
     Snapshot,
     SnapshotError,
     SnapshotStore,
-    register_migration,
     resume_pipeline,
 )
 from .explain import explain_report
@@ -139,5 +138,4 @@ __all__ = [
     "SnapshotStore",
     "CheckpointManager",
     "resume_pipeline",
-    "register_migration",
 ]

@@ -18,8 +18,8 @@ in :mod:`repro.obs.export`) are written crash-consistently via
   and a section index (name, offset, length, CRC32 per section);
 * concatenated pickled section payloads, each integrity-checked on load;
 * bounded retention (newest ``retain`` files survive a save);
-* a version + migration hook (:func:`register_migration`) so old
-  snapshots upgrade instead of crashing the resume path;
+* a format version: a file whose version is not this build's
+  :data:`SNAPSHOT_VERSION` is a :class:`SnapshotError`, never misread;
 * corrupt snapshots (bad magic, CRC mismatch, truncated payload, foreign
   schema) emit a structured WARNING and a
   ``repro_checkpoint_corrupt_total`` increment, and
@@ -57,12 +57,11 @@ __all__ = [
     "SnapshotStore",
     "CheckpointManager",
     "resume_pipeline",
-    "register_migration",
 ]
 
 #: Schema tag of the on-disk snapshot format (sibling of
-#: ``repro.manifest/1``); bump :data:`SNAPSHOT_VERSION` and register a
-#: migration when the section layout changes.
+#: ``repro.manifest/1``); bump :data:`SNAPSHOT_VERSION` when the section
+#: layout changes.
 SNAPSHOT_SCHEMA = "repro.snapshot/1"
 SNAPSHOT_VERSION = 1
 
@@ -70,29 +69,6 @@ _MAGIC = b"REPROSNP"
 _FILE_PATTERN = re.compile(r"^snapshot-(\d{8})\.snap$")
 
 PathLike = Union[str, pathlib.Path]
-
-#: Registered format migrations: ``from_version -> sections upgrader``.
-#: A loader below the current version applies migrations in sequence; a
-#: missing step is a :class:`SnapshotError`, never silent misreading.
-_MIGRATIONS: Dict[int, Callable[[Dict[str, object]], Dict[str, object]]] = {}
-
-
-def register_migration(
-    from_version: int,
-) -> Callable[
-    [Callable[[Dict[str, object]], Dict[str, object]]],
-    Callable[[Dict[str, object]], Dict[str, object]],
-]:
-    """Decorator registering an upgrader ``from_version -> from_version+1``."""
-
-    def decorate(
-        fn: Callable[[Dict[str, object]], Dict[str, object]]
-    ) -> Callable[[Dict[str, object]], Dict[str, object]]:
-        _MIGRATIONS[from_version] = fn
-        return fn
-
-    return decorate
-
 
 class SnapshotError(RuntimeError):
     """A snapshot could not be written, parsed, or validated."""
@@ -257,10 +233,11 @@ class SnapshotStore:
                 f"(expected {SNAPSHOT_SCHEMA!r})"
             )
         version = int(header.get("version", 0))
-        if version > SNAPSHOT_VERSION:
+        if version != SNAPSHOT_VERSION:
+            age = "newer" if version > SNAPSHOT_VERSION else "older"
             raise SnapshotError(
-                f"{path.name}: snapshot version {version} is newer than this "
-                f"build understands ({SNAPSHOT_VERSION})"
+                f"{path.name}: snapshot version {version} is {age} than the "
+                f"one this build reads ({SNAPSHOT_VERSION})"
             )
         sections: Dict[str, object] = {}
         for entry in header.get("sections", []):
@@ -289,14 +266,6 @@ class SnapshotStore:
                 raise SnapshotError(
                     f"{path.name}: unpicklable section {entry['name']!r}: {exc}"
                 ) from exc
-        while version < SNAPSHOT_VERSION:
-            migrate = _MIGRATIONS.get(version)
-            if migrate is None:
-                raise SnapshotError(
-                    f"{path.name}: no migration registered from version {version}"
-                )
-            sections = migrate(sections)
-            version += 1
         return Snapshot(
             path=path,
             version=version,

@@ -278,22 +278,6 @@ class PlantHierarchyContext(HierarchyContext):
             if entry["calls"]:
                 ratio.set(entry["hits"] / entry["calls"], cache=cache_name)
 
-    def reset_stats(self) -> None:
-        self._memo.stats = PipelineStats()
-
-    def invalidate_caches(self) -> None:
-        """Drop every memoized result (keeps the precomputed indexes).
-
-        The blunt instrument: everything recomputes on next use.  An
-        incremental :meth:`refresh` instead calls :meth:`_evict_dirty`,
-        which drops only the entries the dirty closure can have changed.
-        """
-        memo = self._memo
-        memo.confirm.clear()
-        memo.support.clear()
-        memo.candidate_time.clear()
-        memo.candidates.clear()
-
     # ------------------------------------------------------------------
     # incremental recomputation (see DESIGN §10)
     # ------------------------------------------------------------------

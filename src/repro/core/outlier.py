@@ -117,12 +117,6 @@ class HierarchicalOutlierReport:
         """
         return self.support if self.n_corresponding > 0 else 0.5
 
-    def confirmation_at(self, level: ProductionLevel) -> Optional[LevelConfirmation]:
-        for c in self.confirmations:
-            if c.level == level:
-                return c
-        return None
-
     def describe(self) -> str:
         """One-line report used by examples and benches."""
         g, o, s = self.triple

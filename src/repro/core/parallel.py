@@ -20,8 +20,7 @@ Design constraints, in order:
   (enforced statically by repro-lint rule DET005), so executor policy,
   worker sizing, and shutdown discipline live in exactly one file;
 * **measurable** — :class:`EngineStats` records per-task wall and CPU
-  seconds and the speedup over a measured serial baseline (None when a
-  parallel run has none) the pipeline folds into metrics.
+  seconds, which the pipeline folds into metrics.
 
 The ``process`` executor forks a pool per run, after the tasks are final:
 workers inherit the worker callable and every payload, and only task keys
@@ -89,11 +88,6 @@ class EngineStats:
     wall_seconds: float = 0.0
     task_seconds: Dict[str, float] = field(default_factory=dict)
     task_cpu_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Measured task time of a same-run serial baseline, when one exists
-    #: (the speedup benchmark runs serial first and stamps it onto the
-    #: parallel legs).  Unset, a serial run is its own baseline and a
-    #: parallel run has no :attr:`speedup`.
-    serial_baseline_seconds: Optional[float] = None
     #: How payloads reached process workers: ``"fork"`` (inherited) or
     #: ``"pickle"`` (no fork; also a serial run's), and the bytes pickled.
     transport_mode: str = "pickle"
@@ -112,28 +106,6 @@ class EngineStats:
     def compute_seconds(self) -> float:
         """Summed in-worker task latencies (the serial-equivalent cost)."""
         return float(sum(self.task_seconds.values()))
-
-    @property
-    def speedup(self) -> Optional[float]:
-        """Measured serial baseline over wall: > 1 under effective parallelism.
-
-        One definition everywhere: the baseline is a *measured* serial
-        task time — ``serial_baseline_seconds`` when a caller stamped one
-        (``benchmarks/test_bench_parallel_speedup.py`` stamps the serial
-        leg's task time onto the process leg); a serial run is its own
-        measured baseline.  A parallel run without a stamped baseline has
-        no speedup (None): its summed in-worker task seconds are no serial
-        baseline (workers that share cores each run slower), so dividing
-        them by wall would overstate the gain.
-        """
-        baseline = self.serial_baseline_seconds
-        if baseline is None:
-            if self.executor != "serial":
-                return None
-            baseline = self.compute_seconds
-        if self.wall_seconds <= 0.0:
-            return 0.0
-        return float(baseline) / self.wall_seconds
 
     @property
     def transport_decode_seconds(self) -> float:
@@ -174,15 +146,12 @@ class EngineStats:
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-safe summary for run manifests."""
-        baseline = self.serial_baseline_seconds
         return {
             "executor": self.executor,
             "workers": self.workers,
             "tasks": self.n_tasks,
             "wall_seconds": self.wall_seconds,
             "compute_seconds": self.compute_seconds,
-            "speedup": self.speedup,
-            "serial_baseline_seconds": None if baseline is None else float(baseline),
             "cpu_seconds": self.cpu_seconds,
             "cpu_utilization": self.cpu_utilization,
             "transport": {

@@ -727,11 +727,6 @@ class LevelRunner:
             "Worker-pool size the execution engine resolved for this run.",
             labelnames=("executor",),
         )
-        self._m_parallel_speedup = m.gauge(
-            "repro_parallel_speedup",
-            "Measured serial baseline seconds over wall-seconds of the scoring "
-            "task graph (unset when a parallel run has no baseline).",
-        )
         self._m_perf_cpu = m.histogram(
             "repro_perf_task_cpu_seconds",
             "In-worker CPU seconds of one scoring task.",
@@ -756,9 +751,6 @@ class LevelRunner:
             self._m_tasks.inc(len(latencies), kind=kind)
             self._m_task_latency.observe_many(latencies, kind=kind)
         self._m_parallel_workers.set(float(es.workers), executor=es.executor)
-        speedup = es.speedup
-        if speedup is not None and math.isfinite(speedup):
-            self._m_parallel_speedup.set(speedup)
         for kind, seconds in sorted(_by_kind(es.task_cpu_seconds).items()):
             self._m_perf_cpu.observe_many(seconds, kind=kind)
         utilization = es.cpu_utilization

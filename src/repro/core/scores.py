@@ -40,15 +40,13 @@ def unify_rank(scores: ScoreVector) -> np.ndarray:
     if n == 0:
         return s.copy()
     order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(n, dtype=np.float64)
     sorted_s = s[order]
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 0.5
-        i = j + 1
+    # a tie group starts wherever a sorted score differs from the one
+    # before it; NaN != NaN, so every NaN is a group of its own
+    first = np.flatnonzero(np.r_[True, sorted_s[1:] != sorted_s[:-1]])
+    last = np.r_[first[1:], n] - 1
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (first + last) + 0.5, last - first + 1)
     return ranks / n
 
 

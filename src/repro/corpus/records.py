@@ -67,12 +67,6 @@ class Query:
             self, "categories", tuple(_normalize(c) for c in self.categories)
         )
 
-    def relax_categories(self) -> "Query":
-        return Query(self.term, self.topics, ())
-
-    def relax_topics(self) -> "Query":
-        return Query(self.term, (), self.categories)
-
 
 class CorpusIndex:
     """Inverted indices over a record collection with conjunctive search."""

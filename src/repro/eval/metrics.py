@@ -68,11 +68,6 @@ class ConfusionCounts:
         p, r = self.precision, self.recall
         return 2 * p * r / (p + r) if (p + r) else 0.0
 
-    @property
-    def false_positive_rate(self) -> float:
-        denom = self.fp + self.tn
-        return self.fp / denom if denom else 0.0
-
 
 def confusion(labels, predictions) -> ConfusionCounts:
     """Confusion counts from boolean ground truth and predictions."""

@@ -73,7 +73,6 @@ from .export import (
 
 __all__ = [
     "Telemetry",
-    "NULL_TELEMETRY",
     "Tracer",
     "Span",
     "TickClock",
@@ -151,7 +150,3 @@ class Telemetry:
 
     def info(self, message: str, /, **fields: object) -> None:
         self.log(_logging.INFO, message, **fields)
-
-
-#: Shared disabled bundle for components whose telemetry is opt-in.
-NULL_TELEMETRY = Telemetry(enabled=False)

@@ -114,12 +114,6 @@ METRIC_CATALOG: Dict[str, MetricSpec] = {
         labels=("executor",),
         help="Worker-pool size the execution engine resolved for this run.",
     ),
-    "repro_parallel_speedup": MetricSpec(
-        kind="gauge",
-        labels=(),
-        help="Measured serial baseline seconds over wall-seconds of the scoring "
-        "task graph (unset when a parallel run has no baseline).",
-    ),
     # -- incremental recomputation (repro.core.context.refresh) ---------
     # Registered lazily on the first refresh, so cold runs expose exactly
     # the families they always have.

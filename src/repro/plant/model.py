@@ -63,11 +63,6 @@ class PhaseRecord:
         any_series = next(iter(self.series.values()))
         return any_series.duration
 
-    def channel_matrix(self, sensor_ids: Optional[List[str]] = None) -> np.ndarray:
-        """(time, channels) matrix over the given sensors (default: all)."""
-        ids = sensor_ids if sensor_ids is not None else sorted(self.series)
-        return np.column_stack([self.series[sid].values for sid in ids])
-
 
 @dataclass(frozen=True)
 class CAQResult:
@@ -340,13 +335,6 @@ class PlantDataset:
             self.__dict__["_nav_cache"] = cache
         return cache
 
-    def invalidate_indexes(self) -> None:
-        """Drop the navigation index and the row caches (call after
-        mutating lines/jobs)."""
-        self.__dict__.pop("_nav_cache", None)
-        self._job_vectors.clear()
-        self._panel_rows.clear()
-
     def iter_machines(self) -> Iterator[MachineRecord]:
         for line in self.lines:
             yield from line.machines
@@ -477,31 +465,3 @@ class PlantDataset:
     # ------------------------------------------------------------------
     def faults_of_kind(self, kind: FaultKind) -> List[FaultEvent]:
         return [f for f in self.faults if f.kind is kind]
-
-    def job_labels(self, machine_id: str) -> np.ndarray:
-        """Per-job boolean mask: True where a process/setup fault was injected."""
-        jobs = self.machine(machine_id).jobs
-        fault_jobs = {
-            (f.machine_id, f.job_index)
-            for f in self.faults
-            if f.kind in (FaultKind.PROCESS, FaultKind.SETUP)
-        }
-        return np.array(
-            [(machine_id, j.job_index) in fault_jobs for j in jobs], dtype=bool
-        )
-
-    def phase_labels(self, machine_id: str, job_index: int,
-                     phase_name: str) -> np.ndarray:
-        """Per-sample mask of process+sensor faults within one phase."""
-        phase = self.phase_series(machine_id, job_index, phase_name)
-        n = len(next(iter(phase.series.values())))
-        mask = np.zeros(n, dtype=bool)
-        for f in self.faults:
-            if (
-                f.machine_id == machine_id
-                and f.job_index == job_index
-                and f.phase_name == phase_name
-                and f.kind in (FaultKind.PROCESS, FaultKind.SENSOR)
-            ):
-                mask[f.onset : min(f.onset + 1, n)] = True
-        return mask

@@ -43,9 +43,14 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .core import PipelineConfig
 
 __all__ = [
     "Finding",
@@ -209,29 +214,21 @@ class RngTrap:
 
 def canonical_report_bytes(
     dataset: object,
-    executor: str = "serial",
-    chaos_dropout: float = 0.0,
-    chaos_seed: int = 0,
+    config: Optional["PipelineConfig"] = None,
+    **run_kwargs: object,
 ) -> bytes:
-    """Deterministic report serialization of one detection run.
+    """Deterministic report serialization of one cold detection run.
 
     Reports + health only — run *stats* carry wall-clock timings and are
     excluded, exactly as the crash-resume verifier excludes them.
+    ``config`` is the run's :class:`~repro.core.PipelineConfig` (default
+    config when omitted); ``run_kwargs`` go to ``pipeline.run``.
     """
-    from .core import HierarchicalDetectionPipeline, PipelineConfig
+    from .core import HierarchicalDetectionPipeline
     from .io import reports_to_json
 
-    if chaos_dropout > 0:
-        from .plant import ChaosConfig, inject_chaos
-
-        dataset, __ = inject_chaos(
-            dataset,
-            ChaosConfig(seed=chaos_seed, sensor_dropout_rate=chaos_dropout),
-        )
-    pipeline = HierarchicalDetectionPipeline(
-        dataset, config=PipelineConfig(executor=executor)
-    )
-    reports = pipeline.run()
+    pipeline = HierarchicalDetectionPipeline(dataset, config=config)
+    reports = pipeline.run(**run_kwargs)
     return reports_to_json(reports, health=pipeline.health).encode("utf-8")
 
 
@@ -289,23 +286,20 @@ def hash_seed_replay(
 def executor_matrix(
     make_dataset: Callable[[], object],
     executors: Sequence[str] = ("serial", "process"),
-    chaos_dropout: float = 0.0,
-    chaos_seed: int = 0,
 ) -> List[Finding]:
     """Byte-compare reports across executors (**SAN105** on divergence).
 
     ``make_dataset`` is called once per executor so in-place mutation by
     one run can never masquerade as executor divergence in the next.
     """
+    from .core import PipelineConfig
+
     reference: Optional[bytes] = None
     reference_executor = ""
     findings: List[Finding] = []
     for executor in executors:
         produced = canonical_report_bytes(
-            make_dataset(),
-            executor=executor,
-            chaos_dropout=chaos_dropout,
-            chaos_seed=chaos_seed,
+            make_dataset(), PipelineConfig(executor=executor)
         )
         if reference is None:
             reference, reference_executor = produced, executor

@@ -393,9 +393,6 @@ class StreamingSensorMonitor:
     def events(self) -> List[StreamEvent]:
         return list(self._events)
 
-    def events_for(self, channel_id: str) -> List[StreamEvent]:
-        return [e for e in self._events if e.channel_id == channel_id]
-
     def reconsider_support(self) -> List[StreamEvent]:
         """Re-evaluate support of all events post hoc.
 

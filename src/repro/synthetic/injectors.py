@@ -101,9 +101,6 @@ class LabeledSeries:
                 mask[inj.index] = True
         return mask
 
-    def with_series(self, series: TimeSeries) -> "LabeledSeries":
-        return LabeledSeries(series, list(self.injections))
-
 
 def _check_index(series: TimeSeries, index: int) -> int:
     n = len(series)

@@ -80,9 +80,6 @@ class DiscreteSequence:
         for i in range(len(self.symbols) - n + 1):
             yield self.symbols[i : i + n]
 
-    def ngram_counts(self, n: int) -> Counter:
-        return Counter(self.ngrams(n))
-
     def windows(self, width: int, stride: int = 1) -> Iterator["DiscreteSequence"]:
         """Sliding sub-sequences of the given width."""
         if width < 1 or stride < 1:
@@ -96,12 +93,6 @@ class DiscreteSequence:
         """Map symbols to their alphabet indices (stable, 0-based)."""
         lookup = {s: i for i, s in enumerate(self.alphabet)}
         return tuple(lookup[s] for s in self.symbols)
-
-    def concat(self, other: "DiscreteSequence") -> "DiscreteSequence":
-        merged_alphabet = tuple(dict.fromkeys(self.alphabet + other.alphabet))
-        return DiscreteSequence(
-            self.symbols + other.symbols, alphabet=merged_alphabet
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         head = ", ".join(map(repr, self.symbols[:6]))

@@ -123,15 +123,6 @@ class TimeSeries:
             index += len(self)
         return self.start + index * self.step
 
-    def index_at(self, time: float) -> int:
-        """Index of the sample covering ``time`` (floor semantics)."""
-        idx = int(math.floor((time - self.start) / self.step))
-        if idx < 0 or idx >= len(self):
-            raise IndexError(
-                f"time {time} outside series span [{self.start}, {self.end})"
-            )
-        return idx
-
     def slice_time(self, t0: float, t1: float) -> "TimeSeries":
         """Samples with timestamps in the half-open window ``[t0, t1)``."""
         if t1 < t0:
@@ -148,44 +139,9 @@ class TimeSeries:
     def n_missing(self) -> int:
         return int(np.isnan(self.values).sum())
 
-    @property
-    def is_complete(self) -> bool:
-        return self.n_missing == 0
-
     def dropna(self) -> np.ndarray:
         """The finite values only (loses the time axis)."""
         return self.values[~np.isnan(self.values)]
-
-    def fillna(self, strategy: str = "interpolate") -> "TimeSeries":
-        """Return a copy with missing samples filled.
-
-        ``strategy`` is one of ``"interpolate"`` (linear, edge-extended),
-        ``"ffill"``, ``"mean"``, or ``"zero"``.
-        """
-        if strategy not in ("interpolate", "ffill", "mean", "zero"):
-            raise ValueError(f"unknown fill strategy {strategy!r}")
-        mask = np.isnan(self.values)
-        if not mask.any():
-            return self
-        filled = self.values.copy()
-        if strategy == "interpolate":
-            idx = np.arange(len(self))
-            good = ~mask
-            if not good.any():
-                raise ValueError("cannot interpolate a fully missing series")
-            filled[mask] = np.interp(idx[mask], idx[good], filled[good])
-        elif strategy == "ffill":
-            good_idx = np.where(~mask)[0]
-            if good_idx.size == 0:
-                raise ValueError("cannot forward-fill a fully missing series")
-            positions = np.searchsorted(good_idx, np.arange(len(self)), side="right") - 1
-            positions = np.clip(positions, 0, good_idx.size - 1)
-            filled = filled[good_idx[positions]]
-        elif strategy == "mean":
-            filled[mask] = np.nanmean(self.values)
-        elif strategy == "zero":
-            filled[mask] = 0.0
-        return self.replace(values=filled)
 
     # ------------------------------------------------------------------
     # statistics (all NaN-aware)

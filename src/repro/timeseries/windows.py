@@ -33,15 +33,6 @@ class Window:
     start_index: int
     values: np.ndarray
 
-    @property
-    def end_index(self) -> int:
-        """Index one past the last sample of the window (half-open)."""
-        return self.start_index + len(self.values)
-
-    @property
-    def center_index(self) -> int:
-        return self.start_index + len(self.values) // 2
-
     def __len__(self) -> int:
         return int(self.values.shape[0])
 

@@ -28,12 +28,10 @@ from repro.atomic import write_atomic
 from repro.core import CorrespondenceGraph
 from repro.core.checkpoint import (
     _MAGIC,
-    _MIGRATIONS,
     SNAPSHOT_SCHEMA,
     SNAPSHOT_VERSION,
     SnapshotError,
     SnapshotStore,
-    register_migration,
     resume_pipeline,
 )
 from repro.core.pipeline import HierarchicalDetectionPipeline, PipelineConfig
@@ -201,27 +199,10 @@ class TestSnapshotStore:
 
 
 class TestMigrations:
-    @pytest.fixture(autouse=True)
-    def _clean_registry(self):
-        yield
-        _MIGRATIONS.pop(0, None)
-
-    def test_old_snapshot_upgrades_through_migration(self, tmp_path):
-        path = tmp_path / "snapshot-00000001.snap"
-        _craft_snapshot(path, {"legacy": 1}, version=0)
-
-        @register_migration(0)
-        def _upgrade(sections):
-            return {"modern": sections["legacy"] + 1}
-
-        snapshot = SnapshotStore(tmp_path).load(path)
-        assert snapshot.sections == {"modern": 2}
-        assert snapshot.version == SNAPSHOT_VERSION
-
     def test_missing_migration_step_is_an_error(self, tmp_path):
         path = tmp_path / "snapshot-00000001.snap"
         _craft_snapshot(path, {"legacy": 1}, version=0)
-        with pytest.raises(SnapshotError, match="no migration"):
+        with pytest.raises(SnapshotError, match="older"):
             SnapshotStore(tmp_path).load(path)
 
 

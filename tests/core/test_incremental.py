@@ -474,7 +474,7 @@ class TestScopedEviction:
         first = summaries[0]
         assert sum(first["evicted"].values()) > 0
         # scoped means *something survives*: the whole point over
-        # invalidate_caches() is a nonzero retained set
+        # dropping every memo table is a nonzero retained set
         assert sum(first["retained"].values()) > 0
         assert set(first["evicted"]) == {
             "confirm", "support", "candidate_time", "find_candidates",

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from repro.core import (
     HierarchicalOutlierReport,
-    LevelConfirmation,
     OutlierCandidate,
     ProductionLevel,
     rank_reports,
@@ -51,17 +50,6 @@ class TestReport:
         assert make_report(support=0.0, n_corr=0).effective_support == 0.5
         assert make_report(support=0.0, n_corr=2).effective_support == 0.0
         assert make_report(support=1.0, n_corr=2).effective_support == 1.0
-
-    def test_confirmation_lookup(self):
-        r = HierarchicalOutlierReport(
-            candidate=OutlierCandidate(level=L.PHASE, outlierness=1.0, machine_id="m"),
-            global_score=2,
-            outlierness=0.5,
-            support=0.0,
-            confirmations=(LevelConfirmation(L.JOB, True, 0.8),),
-        )
-        assert r.confirmation_at(L.JOB).detected
-        assert r.confirmation_at(L.PRODUCTION) is None
 
     def test_describe_flags_warning(self):
         assert "warning" in make_report(warning=True).describe()

@@ -102,12 +102,10 @@ class TestTaskGraph:
         twin_machines, __ = plant.split_tail(0)
         first, second = (line.machines[0] for line in twin_machines.lines)
         second.machine_id = first.machine_id
-        twin_machines.invalidate_indexes()
         with pytest.raises(ValueError, match=f"duplicate task key 'phase/{first.machine_id}'"):
             _runner(twin_machines).task_graph()
         twin_lines, __ = plant.split_tail(0)
         twin_lines.lines[1].line_id = twin_lines.lines[0].line_id
-        twin_lines.invalidate_indexes()
         line_id = twin_lines.lines[0].line_id
         with pytest.raises(ValueError, match=f"duplicate task key 'env/{line_id}'"):
             _runner(twin_lines).task_graph()
@@ -157,31 +155,41 @@ class TestParallelEngine:
 
 
 class TestEngineStats:
-    def test_process_run_without_baseline_has_no_speedup(self):
-        # summed worker task seconds are no serial baseline: without a
-        # stamped one a parallel run reports no speedup at all
-        stats = EngineStats(
-            executor="process",
-            workers=2,
-            n_tasks=2,
-            wall_seconds=1.0,
-            task_seconds={"a": 0.8, "b": 0.9},
-        )
-        assert stats.compute_seconds == pytest.approx(1.7)
-        assert stats.speedup is None
-        assert stats.as_dict()["speedup"] is None
-        stats.serial_baseline_seconds = 1.2
-        assert stats.speedup == pytest.approx(1.2)
-
     def test_zero_wall_never_divides(self):
         stats = EngineStats(executor="serial", workers=1)
-        assert stats.speedup == 0.0
+        assert stats.cpu_utilization == 0.0
 
     def test_as_dict_is_json_safe(self):
         import json
 
         doc = EngineStats(executor="serial", workers=1).as_dict()
         assert json.loads(json.dumps(doc)) == doc
+
+    def test_snapshot_without_new_fields_still_reports(self):
+        # an EngineStats unpickled from a pre-transport snapshot lacks
+        # every field added since the first snapshot format and carries
+        # the retired queue-depth, peak-allocation and serial-baseline
+        # fields; accessors must not explode
+        stats = EngineStats(
+            executor="serial", workers=1, n_tasks=2, wall_seconds=2.0,
+            task_seconds={"a": 1.0},
+        )
+        for name in list(stats.__dict__):
+            if name not in ("executor", "workers", "n_tasks", "wall_seconds",
+                            "task_seconds"):
+                del stats.__dict__[name]
+        stats.__dict__.update(
+            max_queue_depth=1, task_peak_alloc={"a": 4096},
+            serial_baseline_seconds=None,
+        )
+        stats = pickle.loads(pickle.dumps(stats))
+        assert stats.compute_seconds == 1.0
+        assert stats.cpu_utilization == 0.0
+        summary = stats.as_dict()
+        assert "serial_baseline_seconds" not in summary
+        assert summary["transport"]["mode"] == "pickle"
+        assert summary["transport"]["bytes_shared"] == 0
+        assert summary["top_tasks"] == [{"task": "a", "kind": "a", "wall_seconds": 1.0}]
 
 
 def _recorded_tasks():

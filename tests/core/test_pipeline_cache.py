@@ -112,14 +112,6 @@ class TestCounters:
             entry = cache[table]
             assert entry["hits"] + entry["misses"] == entry["calls"]
 
-    def test_reset_stats(self, pipeline):
-        pipeline.run()
-        pipeline.context.reset_stats()
-        cache = pipeline.stats()["cache"]
-        assert all(
-            v == 0 for entry in cache.values() for v in entry.values()
-        )
-
     def test_stats_schema_is_stamped(self, pipeline):
         from repro.core.pipeline import STATS_SCHEMA
 
@@ -141,14 +133,6 @@ class TestCacheSemantics:
         assert first
         first.clear()
         assert pipeline.context.find_candidates(L.PHASE)
-
-    def test_invalidate_caches_recomputes(self, pipeline):
-        pipeline.run()
-        before = pipeline.stats()["cache"]["confirm"]["misses"]
-        pipeline.context.invalidate_caches()
-        pipeline.run()
-        after = pipeline.stats()["cache"]["confirm"]["misses"]
-        assert after == 2 * before
 
     def test_unify_method_changes_outlierness_scale(self, pipeline):
         by_rank = pipeline.run(unify_method="rank")

@@ -109,8 +109,8 @@ class TestExecutorMatrix:
         assert findings == []
 
     def test_canonical_bytes_deterministic_and_stats_free(self):
-        first = canonical_report_bytes(_tiny_plant(), executor="serial")
-        second = canonical_report_bytes(_tiny_plant(), executor="serial")
+        first = canonical_report_bytes(_tiny_plant())  # default config: serial
+        second = canonical_report_bytes(_tiny_plant())
         assert first == second
         doc = json.loads(first.decode("utf-8"))
         telemetry = doc.get("telemetry", {})

@@ -34,6 +34,57 @@ class TestRank:
         assert unify_rank(np.array([])).size == 0
 
 
+def _unify_rank_loop(scores) -> np.ndarray:
+    """``unify_rank`` as it was written before the tie groups were found
+    by one comparison of neighbours (kept verbatim as the reference)."""
+    s = np.asarray(scores, dtype=np.float64)
+    n = len(s)
+    if n == 0:
+        return s.copy()
+    order = np.argsort(s, kind="mergesort")
+    ranks = np.empty(n, dtype=np.float64)
+    sorted_s = s[order]
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_s[j + 1] == sorted_s[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 0.5
+        i = j + 1
+    return ranks / n
+
+
+def _rank_input(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "normal":
+        return rng.normal(size=n)
+    if kind == "tied":  # few distinct values: long tie groups
+        return rng.integers(0, 4, size=n).astype(float)
+    if kind == "constant":
+        return np.full(n, 2.5)
+    if kind == "nan":  # NaNs never tie, with each other or anything else
+        s = rng.integers(0, 3, size=n).astype(float)
+        s[rng.random(n) < 0.3] = np.nan
+        return s
+    if kind == "signed-zero":
+        return rng.choice([0.0, -0.0, 1.0], size=n)
+    return rng.choice([-np.inf, np.inf, 0.0, 1.0], size=n)  # infinities
+
+
+class TestRankAgainstLoop:
+    @pytest.mark.parametrize(
+        "kind", ("normal", "tied", "constant", "nan", "signed-zero", "inf")
+    )
+    def test_equals_the_loop_bitwise(self, kind):
+        rng = np.random.default_rng(len(kind))
+        for n in [*range(12), 576, 1152]:
+            for __ in range(20 if n < 12 else 3):
+                s = _rank_input(kind, n, rng)
+                expected = _unify_rank_loop(s)
+                got = unify_rank(s)
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes(), (kind, n, s)
+
+
 class TestGaussian:
     def test_outlier_near_one(self, rng):
         s = np.concatenate([rng.normal(0, 1, 200), [50.0]])

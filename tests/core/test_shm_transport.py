@@ -1,8 +1,8 @@
 """Task-transport suite.
 
 Covers the pipeline's two process transports (fork inheritance, and
-pickling where fork is missing) — both byte-identical with serial — the
-measured serial-baseline speedup definition, and the shared-memory arena
+pickling where fork is missing) — both byte-identical with serial — and
+the shared-memory arena
 ``repro.core.shm``, which the pipeline no longer uses but which stays as
 long as perfbench traces it: its round trip (fidelity, dedup, alignment,
 lifecycle) and segment hygiene, including the resource-tracker cleanup
@@ -15,7 +15,6 @@ import glob
 import multiprocessing
 import os
 import pathlib
-import pickle
 import re
 import signal
 import subprocess
@@ -26,7 +25,6 @@ import numpy as np
 import pytest
 
 from repro.core import parallel, shm
-from repro.core.parallel import EngineStats
 from repro.core.pipeline import HierarchicalDetectionPipeline, PipelineConfig
 from repro.io import reports_to_json
 from repro.plant import PlantConfig, simulate_plant
@@ -165,65 +163,6 @@ class TestPipelineTransport:
         assert es.bytes_shared == 0
         assert es.bytes_pickled == 0
         assert _leaked_segments() == []
-
-
-class TestSpeedupDefinition:
-    """`speedup` is measured-serial-baseline over wall — one definition
-    shared by the parallel-speedup bench and the manifest engine block."""
-
-    def test_defaults_to_own_compute_seconds(self):
-        stats = EngineStats(
-            executor="serial",
-            workers=1,
-            wall_seconds=2.0,
-            task_seconds={"a": 1.0, "b": 0.5},
-        )
-        assert stats.speedup == pytest.approx(0.75)
-
-    def test_prefers_recorded_serial_baseline(self):
-        stats = EngineStats(
-            executor="process",
-            workers=4,
-            wall_seconds=2.0,
-            task_seconds={"a": 1.0, "b": 0.5},
-            serial_baseline_seconds=3.0,
-        )
-        assert stats.speedup == pytest.approx(1.5)
-        assert stats.as_dict()["serial_baseline_seconds"] == pytest.approx(3.0)
-
-    def test_speedup_gauge_needs_a_baseline(self):
-        serial, __ = _run(_plant(3), executor="serial")
-        proc, __ = _run(_plant(3), executor="process", max_workers=2)
-        assert proc.context.engine_stats().speedup is None
-        gauge = "repro_parallel_speedup"
-        assert len(serial.telemetry.metrics.get(gauge).samples()) == 1
-        assert proc.telemetry.metrics.get(gauge).samples() == []
-
-    def test_zero_wall_is_not_a_division(self):
-        stats = EngineStats(executor="serial", workers=1)
-        assert stats.speedup == 0.0
-
-    def test_snapshot_without_new_fields_still_reports(self):
-        # an EngineStats unpickled from a pre-transport snapshot lacks
-        # every field added since the first snapshot format and carries
-        # the retired queue-depth and peak-allocation fields; accessors
-        # must not explode
-        stats = EngineStats(
-            executor="serial", workers=1, n_tasks=2, wall_seconds=2.0,
-            task_seconds={"a": 1.0},
-        )
-        for name in list(stats.__dict__):
-            if name not in ("executor", "workers", "n_tasks", "wall_seconds",
-                            "task_seconds"):
-                del stats.__dict__[name]
-        stats.__dict__.update(max_queue_depth=1, task_peak_alloc={"a": 4096})
-        stats = pickle.loads(pickle.dumps(stats))
-        assert stats.speedup == pytest.approx(0.5)
-        summary = stats.as_dict()
-        assert summary["serial_baseline_seconds"] is None
-        assert summary["transport"]["mode"] == "pickle"
-        assert summary["transport"]["bytes_shared"] == 0
-        assert summary["top_tasks"] == [{"task": "a", "kind": "a", "wall_seconds": 1.0}]
 
 
 @pytest.mark.skipif(

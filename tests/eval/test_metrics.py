@@ -37,10 +37,6 @@ class TestConfusion:
         c = confusion([False, False], [False, False])
         assert c.precision == 0.0 and c.recall == 0.0 and c.f1 == 0.0
 
-    def test_false_positive_rate(self):
-        c = confusion([False, False, True], [True, False, True])
-        assert c.false_positive_rate == 0.5
-
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             confusion([True], [True, False])

@@ -3,8 +3,10 @@
 Four cross-artifact consistency surfaces, plus a size limit:
 
 * ``src/repro`` lints clean (the tentpole acceptance criterion), no
-  module in it has more than 1,000 lines, and no module of the trees
-  ``ruff check`` covers has an unused top-level import (its F401);
+  module in it has more than 1,000 lines, no module of the trees
+  ``ruff check`` covers has an unused top-level import (its F401), and
+  every function, method and property in ``src`` has a caller outside
+  the tests, bar a short list kept on purpose;
 * the Table-1 manifest matches the live registry class-for-class (all
   29 detectors) and tampering with it is detected;
 * the metric catalog agrees with a live pipeline run and with the
@@ -20,8 +22,9 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
-from typing import Dict, Iterator, List, Sequence, Set
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 import pytest
 
@@ -35,6 +38,31 @@ MANIFEST = REPO_ROOT / "tools" / "lint" / "table1_manifest.json"
 #: ``__init__.py`` re-export hubs from F401 and skips the fixture trees
 RUFF_TREES = ("src", "tools", "tests", "benchmarks")
 RUFF_EXCLUDED = ("tests", "lint", "fixtures")
+
+#: the trees whose code can call a member of ``src``; a test is no caller
+CALLER_TREES = ("src", "perfbench", "benchmarks", "examples", "tools")
+
+#: members of ``src`` that no caller runs, kept on purpose: qualified
+#: name -> why it stays
+UNCALLED_KEPT = {
+    "TimeSeries.zscores": "the synthetic-dataset test measures injected "
+    "spikes with it; deleting it would move the same code into the test",
+    "RunHealth.quarantined_channels": "the chaos suite checks which "
+    "channels were quarantined with it",
+    "AlertManager.all_alerts": "the alert and health tests read every "
+    "alert, acknowledged or not, through it",
+    "Detection.n_flagged": "the detector tests count flagged points with it",
+    "AlgorithmSelector.preferences_for": "the selection and fallback-chain "
+    "tests read a level's ranked preferences through it",
+    "StreamingSensorMonitor.skipped_counts": "part of the stream golden "
+    "record (tests/streaming/stream_reference.json)",
+    "SoftSensor.virtual_series": "interface of the soft-sensor extension "
+    "(DESIGN §6)",
+    "SoftSensor.residual_sigma": "interface of the soft-sensor extension "
+    "(DESIGN §6)",
+    "ShmArena.block_name": "core/shm.py goes whole once perfbench stops "
+    "reading it (ROADMAP item 2)",
+}
 
 
 def _module_scope(body: Sequence[ast.stmt]) -> Iterator[ast.stmt]:
@@ -107,6 +135,37 @@ def _unused_imports(path: Path) -> List[str]:
     return [f"{rel}:{line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def _members(node: ast.AST, prefix: str = "") -> Iterator[Tuple[str, int]]:
+    """``(qualified name, line)`` of every function, method and property
+    defined under ``node``, dunders excluded."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _members(child, f"{prefix}{child.name}.")
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not (child.name.startswith("__") and child.name.endswith("__")):
+                yield f"{prefix}{child.name}", child.lineno
+            yield from _members(child, f"{prefix}{child.name}.")
+        else:
+            yield from _members(child, prefix)
+
+
+def _uncalled_src_members() -> Dict[str, str]:
+    """Members of ``src`` whose name appears as a whole word only at its
+    own definition across :data:`CALLER_TREES`: qualified name -> where."""
+    words = Counter(
+        word
+        for tree in CALLER_TREES
+        for path in sorted((REPO_ROOT / tree).rglob("*.py"))
+        for word in re.findall(r"\w+", path.read_text())
+    )
+    uncalled = {}
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        for qualname, line in _members(ast.parse(path.read_text())):
+            if words[qualname.rsplit(".", 1)[-1]] == 1:
+                uncalled[qualname] = f"{path.relative_to(REPO_ROOT)}:{line}"
+    return uncalled
+
+
 class TestRealTreeIsClean:
     def test_src_lints_clean(self):
         findings = run_lint(
@@ -132,6 +191,16 @@ class TestRealTreeIsClean:
             for finding in _unused_imports(path)
         ]
         assert unused == [], "\n".join(unused)
+
+    def test_every_src_member_has_a_caller(self):
+        # code only tests reach is code no command, workload or bench runs:
+        # delete it with its tests, or list it in UNCALLED_KEPT with a reason
+        uncalled = _uncalled_src_members()
+        stray = [f"{where}: {name}" for name, where in uncalled.items()
+                 if name not in UNCALLED_KEPT]
+        assert stray == [], "no caller outside the tests:\n" + "\n".join(stray)
+        # an entry that gained a caller, or went, leaves the list too
+        assert sorted(UNCALLED_KEPT.keys() - uncalled.keys()) == []
 
 
 class TestManifestMatchesRegistry:

@@ -2,26 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.plant import CAQResult, FaultKind
 
 
 class TestPhaseRecord:
-    def test_channel_matrix_ordering(self, small_plant):
-        phase = next(small_plant.iter_jobs()).phases[0]
-        ids = sorted(phase.series)
-        mat = phase.channel_matrix()
-        assert mat.shape == (len(phase.series[ids[0]]), len(ids))
-        for j, sid in enumerate(ids):
-            assert np.array_equal(mat[:, j], phase.series[sid].values)
-
-    def test_channel_matrix_subset(self, small_plant):
-        phase = next(small_plant.iter_jobs()).phases[0]
-        ids = sorted(phase.series)[:2]
-        mat = phase.channel_matrix(ids)
-        assert mat.shape[1] == 2
 
     def test_duration(self, small_plant):
         phase = next(small_plant.iter_jobs()).phases[0]

@@ -158,17 +158,6 @@ class TestGroundTruth:
         assert labels.any()
         assert dims[labels].mean() > dims[~labels].mean()
 
-    def test_job_labels_cover_process_and_setup(self, small_plant):
-        flagged = {
-            (f.machine_id, f.job_index)
-            for f in small_plant.faults
-            if f.kind in (FaultKind.PROCESS, FaultKind.SETUP)
-        }
-        for machine in small_plant.iter_machines():
-            labels = small_plant.job_labels(machine.machine_id)
-            for job, lab in zip(machine.jobs, labels):
-                assert lab == ((machine.machine_id, job.job_index) in flagged)
-
     def test_deterministic_given_seed(self):
         cfg = PlantConfig(seed=3, n_lines=1, machines_per_line=1, jobs_per_machine=2)
         a = simulate_plant(cfg)
@@ -199,18 +188,6 @@ class TestLevelViews:
     def test_production_panel_one_row_per_machine(self, small_plant):
         panel, ids = small_plant.production_panel()
         assert panel.shape[0] == len(ids) == 4
-
-    def test_phase_labels_mark_onsets(self, small_plant):
-        fault = next(
-            (f for f in small_plant.faults
-             if f.kind in (FaultKind.PROCESS, FaultKind.SENSOR)),
-            None,
-        )
-        assert fault is not None
-        mask = small_plant.phase_labels(
-            fault.machine_id, fault.job_index, fault.phase_name
-        )
-        assert mask[fault.onset]
 
     def test_unknown_ids_raise(self, small_plant):
         with pytest.raises(KeyError):

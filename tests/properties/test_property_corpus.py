@@ -50,11 +50,11 @@ class TestQueryProperties:
     @settings(max_examples=100, deadline=None)
     def test_relaxation_is_monotone(self, index, query):
         full = index.count(query)
-        assert full <= index.count(query.relax_categories())
-        assert full <= index.count(query.relax_topics())
-        assert index.count(query.relax_categories()) <= index.count(
-            Query(term=query.term)
-        )
+        no_categories = index.count(Query(term=query.term, topics=query.topics))
+        no_topics = index.count(Query(term=query.term, categories=query.categories))
+        assert full <= no_categories
+        assert full <= no_topics
+        assert no_categories <= index.count(Query(term=query.term))
 
     @given(index=corpora(), query=queries())
     @settings(max_examples=100, deadline=None)

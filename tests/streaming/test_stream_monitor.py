@@ -83,14 +83,6 @@ class TestEvents:
         events = monitor.observe_block(interleave(a=a, b=b))
         assert len(events) <= 1
 
-    def test_events_accessors(self, process_fault_streams):
-        a, b = process_fault_streams
-        monitor = StreamingSensorMonitor(pair_graph(), threshold=6.0)
-        monitor.observe_block(interleave(a=a, b=b))
-        assert len(monitor.events) == len(monitor.events_for("a")) + len(
-            monitor.events_for("b")
-        )
-
     def test_isolated_channel_zero_corresponding(self, rng):
         graph = CorrespondenceGraph()
         monitor = StreamingSensorMonitor(graph, threshold=5.0)

@@ -161,8 +161,3 @@ class TestLabeledSeries:
         onsets = ls.onset_labels()
         assert onsets[30] and onsets.sum() == 1
 
-    def test_with_series_keeps_injections(self):
-        series, inj = inject_additive(flat(), 10, 1.0)
-        ls = LabeledSeries(series, [inj])
-        ls2 = ls.with_series(flat())
-        assert ls2.injections == ls.injections

@@ -54,12 +54,6 @@ class TestNGrams:
         grams = list(seq.ngrams(2))
         assert grams == [("a", "b"), ("b", "a"), ("a", "b")]
 
-    def test_ngram_counts(self):
-        seq = DiscreteSequence(("a", "b", "a", "b"))
-        counts = seq.ngram_counts(2)
-        assert counts[("a", "b")] == 2
-        assert counts[("b", "a")] == 1
-
     def test_ngrams_longer_than_sequence(self):
         seq = DiscreteSequence(("a",))
         assert list(seq.ngrams(3)) == []
@@ -95,9 +89,3 @@ class TestEncoding:
         seq = DiscreteSequence(("b", "a", "b"), alphabet=("a", "b"))
         assert seq.index_encode() == (1, 0, 1)
 
-    def test_concat_merges_alphabets(self):
-        a = DiscreteSequence(("a",), alphabet=("a",))
-        b = DiscreteSequence(("b",), alphabet=("b",))
-        merged = a.concat(b)
-        assert merged.symbols == ("a", "b")
-        assert merged.alphabet == ("a", "b")

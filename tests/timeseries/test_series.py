@@ -50,18 +50,6 @@ class TestTimeAxis:
         ts = make([1, 2, 3], start=0.0, step=1.0)
         assert ts.time_at(-1) == 2.0
 
-    def test_index_at_roundtrip(self):
-        ts = make(range(50), start=100.0, step=0.5)
-        for i in (0, 10, 49):
-            assert ts.index_at(ts.time_at(i)) == i
-
-    def test_index_at_out_of_span_raises(self):
-        ts = make([1, 2, 3])
-        with pytest.raises(IndexError):
-            ts.index_at(-1.0)
-        with pytest.raises(IndexError):
-            ts.index_at(3.0)
-
     def test_slice_time_half_open(self):
         ts = make(range(10), start=0.0, step=1.0)
         cut = ts.slice_time(2.0, 5.0)
@@ -92,38 +80,10 @@ class TestMissing:
     def test_n_missing_counts_nans(self):
         ts = make([1.0, np.nan, 3.0, np.nan])
         assert ts.n_missing == 2
-        assert not ts.is_complete
 
     def test_dropna(self):
         ts = make([1.0, np.nan, 3.0])
         assert ts.dropna().tolist() == [1.0, 3.0]
-
-    def test_fillna_interpolate(self):
-        ts = make([0.0, np.nan, 2.0])
-        assert ts.fillna("interpolate").values.tolist() == [0.0, 1.0, 2.0]
-
-    def test_fillna_ffill(self):
-        ts = make([np.nan, 1.0, np.nan, np.nan, 4.0])
-        filled = ts.fillna("ffill").values
-        assert filled.tolist() == [1.0, 1.0, 1.0, 1.0, 4.0]
-
-    def test_fillna_mean_and_zero(self):
-        ts = make([1.0, np.nan, 3.0])
-        assert ts.fillna("mean").values[1] == 2.0
-        assert ts.fillna("zero").values[1] == 0.0
-
-    def test_fillna_unknown_strategy(self):
-        with pytest.raises(ValueError, match="strategy"):
-            make([1.0]).fillna("bogus")
-
-    def test_fillna_all_missing_raises(self):
-        with pytest.raises(ValueError):
-            make([np.nan, np.nan]).fillna("interpolate")
-
-    def test_fillna_complete_returns_same_object(self):
-        ts = make([1.0, 2.0])
-        assert ts.fillna() is ts
-
 
 class TestStatistics:
     def test_mean_std_nan_aware(self):

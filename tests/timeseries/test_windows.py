@@ -26,11 +26,6 @@ class TestSlidingWindows:
         ws = list(sliding_windows(np.arange(5.0), width=3, stride=3))
         assert [w.start_index for w in ws] == [0]
 
-    def test_window_end_and_center(self):
-        w = next(sliding_windows(np.arange(10.0), width=4))
-        assert w.end_index == 4
-        assert w.center_index == 2
-
     def test_accepts_timeseries(self):
         ts = TimeSeries(np.arange(6.0))
         ws = list(sliding_windows(ts, width=3))

@@ -38,10 +38,9 @@ confirmation.  The cache is always on and a pure performance layer:
 reports are byte-identical to a context that recomputes every query.
 Hit/miss/call counters are exposed through
 `HierarchicalDetectionPipeline.stats()` (equivalently
-`PlantHierarchyContext.stats()`, a `PipelineStats` snapshot);
-`reset_stats()` zeroes them and `invalidate_caches()` drops memoized
-results while keeping the indexes.  After a job ingest
-(`PlantDataset.ingest_job` → `refresh()`), eviction is *scoped* instead:
+`PlantHierarchyContext.stats()`, a `PipelineStats` snapshot).
+Memoized results live as long as the context.  After a job ingest
+(`PlantDataset.ingest_job` → `refresh()`), eviction is *scoped*:
 only entries whose keys fall in the dirty subgraph are dropped, so
 ENVIRONMENT-level confirmations and unaffected support values survive
 the refresh (see DESIGN.md §10).
